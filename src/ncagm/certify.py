@@ -17,6 +17,7 @@ import numpy as np
 
 from .compiler import localizing_entry, monomial_basis
 from .ncpoly import NCPolynomial, distinct_product_sum
+from .sdp import psd_defect_of
 
 
 class CertificateError(ValueError):
@@ -184,7 +185,8 @@ def build_m2_certificate(n):
 
 
 def farkas_check(problem, cert, tolerance=1e-6):
-    """Independently recompute a Farkas certificate's PSD defect and margin.
+    """Recompute a Farkas certificate's PSD defect and margin from the
+    problem data.
 
     Raises CertificateError when sum y_i C_i fails the PSD-defect bound;
     a nonpositive margin is reported via the return value, not an error.
@@ -195,21 +197,12 @@ def farkas_check(problem, cert, tolerance=1e-6):
             f"certificate indexes {y.shape[0]} constraints, "
             f"problem has {problem.num_constraints}"
         )
-    blocks = [cert.y0 * blk for blk in problem.dense_matrix(problem.objective)]
     max_entry = max(
         (abs(v) for entries in problem.constraints for v in entries.values()),
         default=0.0,
     )
     max_entry = max(max_entry, *(abs(v) for v in problem.objective.values()))
-    for k, entries in enumerate(problem.constraints):
-        yk = y[k]
-        if yk == 0.0:
-            continue
-        for (blk, i, j), v in entries.items():
-            blocks[blk][i, j] += yk * v
-            if i != j:
-                blocks[blk][j, i] += yk * v
-    defect = max(float(np.linalg.eigvalsh(blk).max()) for blk in blocks)
+    defect = psd_defect_of(problem, cert.y0, y)
     scale = (abs(cert.y0) + float(np.abs(y).sum())) * max_entry
     if defect > tolerance * scale:
         raise CertificateError(

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import certify as certify_mod
@@ -88,12 +86,7 @@ def cmd_table(rows, config):
         record["verdict"] = "VIOLATION" if max(lam1, lam2) > bound + verdict_tol else "ok"
         return record
 
-    workers = max(1, int(os.environ.get("NCAGM_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(solve_row, rows))
-    else:
-        records = [solve_row(pair) for pair in rows]
+    records = [solve_row(pair) for pair in rows]
     return records, any(r["verdict"] == "ERROR" for r in records)
 
 
@@ -319,8 +312,6 @@ def _config_from(args):
     )
     sign_text = getattr(args, "sign", "plus")
     config.sign = 1 if sign_text == "plus" else -1
-    if config.tolerance <= 0:
-        raise SystemExit(EXIT_USAGE)
     return config
 
 
@@ -329,6 +320,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     config = _config_from(args)
 
+    if config.tolerance <= 0:
+        parser.error("--tol must be positive")
     if config.m is not None and config.n is not None and config.m > config.n:
         parser.error(f"--m must not exceed --n (got m={config.m}, n={config.n})")
 

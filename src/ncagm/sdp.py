@@ -11,8 +11,14 @@ maps {(block, row, col): value}, row <= col, each value standing for both
 mirror entries (the SDPA sparse convention).
 
 The solver is a primal-dual path-following method with a Mehrotra-style
-predictor-corrector and the HKM search direction; the Schur complement is
-assembled block-wise with dense BLAS and factored by Cholesky.
+predictor-corrector and the HKM search direction.  Each block keeps its
+constraint data as one dense matrix in svec coordinates (the symmetric
+vectorization with sqrt(2) off-diagonal weights, so that inner products are
+preserved), restricted to the constraint rows that touch the block.  The
+Schur complement is assembled block by block as A_k (Y_k (x) Z_k^-1) A_k^T,
+with (x) the symmetric Kronecker product, on those rows only.  It is
+factored by Cholesky once per iteration, and the factor is inverted once
+so that every direction solve is two matrix-vector products.
 """
 
 from __future__ import annotations
@@ -94,6 +100,10 @@ class Solution:
     gap: float
     status: str
     iterations: int
+    # (name, detail) per fallback that fired: ("schur_shift", largest shift
+    # relative to the trace scale), ("schur_eig", iterations that used it),
+    # ("best_iterate", whether it upgraded the status to "optimal")
+    fallbacks: tuple = ()
 
 
 def _dedup_rows(problem):
@@ -113,20 +123,125 @@ def _dedup_rows(problem):
     return keep, contradiction
 
 
-def _stack_constraints(problem, keep):
-    """Dense per-block stacks C[k] of shape (M, d_k, d_k)."""
-    dims = problem.block_dims
-    m = len(keep)
-    stacks = [np.zeros((m, d, d)) for d in dims]
-    for row, k in enumerate(keep):
-        for (blk, i, j), v in problem.constraints[k].items():
-            stacks[blk][row, i, j] = v
-            stacks[blk][row, j, i] = v
-    return stacks
+class _SvecBlock:
+    """Constraint data of one PSD block in svec coordinates.
+
+    svec(X) = scale * X[iu, ju] over the upper triangle, so that
+    svec(X) . svec(W) = <X, W> for symmetric X and W.  ``a`` holds
+    svec(C_i) for the constraint rows ``rows`` that touch the block; all
+    other rows are zero on it and are left out.
+    """
+
+    def __init__(self, dim, rows, a):
+        self.dim = dim
+        self.iu, self.ju = np.triu_indices(dim)
+        self.scale = np.where(self.iu == self.ju, 1.0, np.sqrt(2.0))
+        self.rows = rows
+        self.a = a
+
+    def svec(self, mat):
+        return self.scale * mat[self.iu, self.ju]
+
+    def smat(self, vec):
+        out = np.empty((self.dim, self.dim))
+        half = vec / self.scale
+        out[self.iu, self.ju] = half
+        out[self.ju, self.iu] = half
+        return out
+
+    def schur(self, y, z_inv):
+        """Rows ``rows`` of the Schur complement, S_ij = tr(C_i Y C_j Z^-1),
+        as A (Y (x) Z^-1) A^T with the symmetric Kronecker product in svec
+        coordinates."""
+        iu, ju = self.iu, self.ju
+        cross = y[np.ix_(iu, ju)] * z_inv[np.ix_(ju, iu)]
+        kron = (y[np.ix_(iu, iu)] * z_inv[np.ix_(ju, ju)]
+                + y[np.ix_(ju, ju)] * z_inv[np.ix_(iu, iu)] + cross + cross.T)
+        half = 0.5 * self.scale
+        kron *= np.multiply.outer(half, half)
+        return _sym((self.a @ kron) @ self.a.T)
+
+
+class _SvecConstraints:
+    """The constraint operator A(X) = (tr(C_i X))_i over the kept rows,
+    stored as one _SvecBlock per PSD block."""
+
+    def __init__(self, problem, keep):
+        dims = problem.block_dims
+        local = [{} for _ in dims]  # kept row -> row index within the block
+        coords = [([], [], []) for _ in dims]  # (local row, svec index, value)
+        for row, k in enumerate(keep):
+            for (blk, i, j), v in problem.constraints[k].items():
+                rows_k = local[blk]
+                lr, col, val = coords[blk]
+                lr.append(rows_k.setdefault(row, len(rows_k)))
+                col.append(i * dims[blk] - i * (i - 1) // 2 + (j - i))
+                val.append(v if i == j else np.sqrt(2.0) * v)
+        self.m = len(keep)
+        self.blocks = []
+        for d, rows_k, (lr, col, val) in zip(dims, local, coords):
+            a = np.zeros((len(rows_k), d * (d + 1) // 2))
+            a[lr, col] = val
+            rows = np.fromiter(rows_k, dtype=np.intp, count=len(rows_k))
+            self.blocks.append(_SvecBlock(d, rows, a))
+
+    def a_of(self, mats):
+        out = np.zeros(self.m)
+        for blk, x in zip(self.blocks, mats):
+            out[blk.rows] += blk.a @ blk.svec(x)
+        return out
+
+    def at_of(self, y):
+        return [blk.smat(y[blk.rows] @ blk.a) for blk in self.blocks]
+
+    def max_row_norm(self):
+        """Largest Frobenius norm of one constraint matrix on one block."""
+        return max(float(np.linalg.norm(blk.a, axis=1).max(initial=0.0))
+                   for blk in self.blocks)
+
+    def schur(self, ys, z_invs):
+        """S_ij = tr(C_i Y C_j Z^-1), each block adding onto the rows it
+        touches."""
+        s = np.zeros((self.m, self.m))
+        for blk, yk, zk in zip(self.blocks, ys, z_invs):
+            s[np.ix_(blk.rows, blk.rows)] += blk.schur(yk, zk)
+        return s
+
+
+_TRI_LEAF = 64
+
+
+def _tril_inverse(lower):
+    """Inverse of a nonsingular lower-triangular matrix, by recursive 2x2
+    blocking so that nearly all the work is matrix products."""
+    out = np.zeros_like(lower)
+    _tril_invert_into(lower, out)
+    return out
+
+
+def _tril_invert_into(lower, out):
+    n = lower.shape[0]
+    if n <= _TRI_LEAF:
+        # forward substitution, one row of the inverse at a time
+        for i in range(n):
+            out[i, i] = 1.0 / lower[i, i]
+            out[i, :i] = -(lower[i, :i] @ out[:i, :i]) * out[i, i]
+        return
+    h = n // 2
+    _tril_invert_into(lower[:h, :h], out[:h, :h])
+    _tril_invert_into(lower[h:, h:], out[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
 
 
 def _sym(mat):
     return 0.5 * (mat + mat.T)
+
+
+def _add_to_diagonal(mat, value):
+    """mat + value * I, without building the identity."""
+    out = mat.copy()
+    out.flat[::mat.shape[0] + 1] += value
+    return out
 
 
 def _max_step(blocks, deltas, chols):
@@ -144,17 +259,23 @@ class _SchurFactor:
     """Cholesky factorization of the Schur complement.  When plain Cholesky
     fails near the optimum, a small diagonal shift is added (escalating until
     the factorization succeeds); iterative refinement against the unshifted
-    matrix then recovers the accuracy lost to the shift."""
+    matrix then recovers the accuracy lost to the shift.  The factor is
+    inverted once, so each solve is two matrix-vector products.
+
+    ``shift`` is the diagonal shift that was needed, relative to the trace
+    scale (0.0 for none); ``eig`` is set when even the largest shift failed
+    and the solves fall back to an eigendecomposition."""
 
     def __init__(self, s):
         self.s = s
+        self.shift = 0.0
+        self.chol_inv = None
+        self.eig = None
         scale = max(float(np.trace(s)) / max(s.shape[0], 1), 1e-300)
         shift = 0.0
         while True:
             try:
-                self.chol = np.linalg.cholesky(
-                    s + shift * np.eye(s.shape[0]) if shift else s
-                )
+                chol = np.linalg.cholesky(_add_to_diagonal(s, shift) if shift else s)
                 break
             except np.linalg.LinAlgError:
                 shift = 1e-14 * scale if shift == 0.0 else 100.0 * shift
@@ -166,16 +287,16 @@ class _SchurFactor:
                     )
                     w, v = np.linalg.eigh(s)
                     thresh = 1e-12 * max(w.max(), 1e-300)
-                    self.chol = None
                     self.eig = (
                         v, np.where(w > thresh, 1.0 / np.maximum(w, thresh), 0.0)
                     )
-                    break
+                    return
+        self.shift = shift / scale
+        self.chol_inv = _tril_inverse(chol)
 
     def _solve_once(self, rhs):
-        if self.chol is not None:
-            z = np.linalg.solve(self.chol, rhs)
-            return np.linalg.solve(self.chol.T, z)
+        if self.chol_inv is not None:
+            return self.chol_inv.T @ (self.chol_inv @ rhs)
         v, winv = self.eig
         return v @ (winv * (v.T @ rhs))
 
@@ -210,23 +331,10 @@ def solve(problem, options=None):
 
     m = len(keep)
     b = np.array([problem.rhs[k] for k in keep], dtype=float)
-    c_stacks = _stack_constraints(problem, keep)
-    c_mats = [c_stacks[k].reshape(m, dims[k] * dims[k]) for k in range(nblocks)]
+    cons = _SvecConstraints(problem, keep)
+    a_of, at_of = cons.a_of, cons.at_of
     c0 = problem.dense_matrix(problem.objective)
-
-    def a_of(blocks):
-        out = np.zeros(m)
-        for k in range(nblocks):
-            out += c_mats[k] @ blocks[k].ravel()
-        return out
-
-    def at_of(y):
-        return [(y @ c_mats[k]).reshape(dims[k], dims[k]) for k in range(nblocks)]
-
-    norm_c = max(
-        (float(np.sqrt((c_stacks[k] ** 2).sum(axis=(1, 2))).max()) if m else 0.0)
-        for k in range(nblocks)
-    )
+    norm_c = cons.max_row_norm()
     alpha0 = 1.0 + (float(np.abs(b).max()) if m else 0.0) + max(
         norm_c, float(np.linalg.norm(np.concatenate([blk.ravel() for blk in c0])))
     )
@@ -240,6 +348,8 @@ def solve(problem, options=None):
     pobj = dobj = gap = np.nan
     best = None  # (merit, ys, zs, y, pobj, dobj, gap)
     stall = 0
+    max_shift = 0.0
+    eig_iterations = 0
 
     for it in range(opts.max_iterations):
         iterations = it
@@ -292,14 +402,9 @@ def solve(problem, options=None):
             eye = np.eye(dims[k])
             z_invs.append(_sym(np.linalg.solve(z_chols[k].T, np.linalg.solve(z_chols[k], eye))))
 
-        # Schur complement S_ij = tr(Ci H(Y Cj Z^-1)) assembled per block
-        s = np.zeros((m, m))
-        for k in range(nblocks):
-            t = ys[k] @ c_stacks[k] @ z_invs[k]
-            t = 0.5 * (t + t.transpose(0, 2, 1))
-            s += c_mats[k] @ t.reshape(m, -1).T
-        s = 0.5 * (s + s.T)
-        factor = _SchurFactor(s)
+        factor = _SchurFactor(cons.schur(ys, z_invs))
+        max_shift = max(max_shift, factor.shift)
+        eig_iterations += factor.eig is not None
 
         mu = gap / nu
         hyrz = []
@@ -339,19 +444,28 @@ def solve(problem, options=None):
             ys[k] = _sym(ys[k] + ap * dy_blocks[k])
             zs[k] = _sym(zs[k] + ad * dz[k])
         y = y + ad * dy
+        # the Schur complement and its inverse factor live for one iteration
+        del factor
 
+    fallbacks = []
+    if max_shift:
+        fallbacks.append(("schur_shift", max_shift))
+    if eig_iterations:
+        fallbacks.append(("schur_eig", eig_iterations))
     if status in ("numerical_failure", "max_iterations") and best is not None:
         # fall back to the most accurate iterate seen; accept it as optimal
         # when it sits within a small factor of the requested tolerance
         merit, ys, zs, y, pobj, dobj, gap = best
         if merit <= 100.0 * opts.tolerance:
             status = "optimal"
+        fallbacks.append(("best_iterate", status == "optimal"))
 
     dual_full = np.zeros(problem.num_constraints)
     for pos, k in enumerate(keep):
         dual_full[k] = y[pos]
     rel_gap = gap / (1.0 + abs(pobj) + abs(dobj)) if np.isfinite(gap) else np.nan
-    return Solution(ys, dual_full, pobj, dobj, rel_gap, status, iterations + 1)
+    return Solution(ys, dual_full, pobj, dobj, rel_gap, status, iterations + 1,
+                    tuple(fallbacks))
 
 
 @dataclass
@@ -394,9 +508,7 @@ def extract_farkas(problem, lambda_target, options=None, margin_threshold=1e-6):
     sol = solve(problem, options)
     if sol.status != "optimal":
         raise SdpError(f"solver did not reach optimality: status={sol.status}")
-    margin = -lambda_target + float(problem.rhs @ sol.dual) \
-        if isinstance(problem.rhs, np.ndarray) else \
-        -lambda_target + float(np.asarray(problem.rhs) @ sol.dual)
+    margin = float(np.asarray(problem.rhs) @ sol.dual) - lambda_target
     if margin <= margin_threshold:
         return None
     defect = psd_defect_of(problem, -1.0, sol.dual)

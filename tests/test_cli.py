@@ -55,11 +55,11 @@ class TestTable:
         assert by_key[(1, 3)]["lambda2"] == "0.0000"
         assert by_key[(1, 3)]["verdict"] == "ok"
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("NCAGM_THREADS", "2")
-        code, stdout, _ = run(["table", "--format", "csv"], capsys)
-        assert code == EXIT_OK
-        assert "22.4746" in stdout
+    def test_nonpositive_tol_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--tol", "0"])
+        assert err.value.code == EXIT_USAGE
+        assert "--tol must be positive" in capsys.readouterr().err
 
 
 class TestSolve:

@@ -16,6 +16,13 @@ from ncagm import (
     symmetry_reduce,
 )
 from ncagm.certify import farkas_check
+from ncagm.sdp import (
+    _TRI_LEAF,
+    _dedup_rows,
+    _SchurFactor,
+    _SvecConstraints,
+    _tril_inverse,
+)
 
 N_CASES = 1000
 
@@ -173,3 +180,111 @@ class TestFarkas:
         cert = extract_farkas(problem, 0.0)
         # margin = lambda* - target = 0.5
         assert cert.margin == pytest.approx(0.5, abs=1e-4)
+
+
+def random_pd(rng, dim):
+    g = rng.standard_normal((dim, dim))
+    return g @ g.T + dim * np.eye(dim)
+
+
+def svec_problem(reduced, m, n, sign):
+    problem = assemble_sdp(m, n, sign)
+    if reduced:
+        problem, _ = symmetry_reduce(problem)
+    keep, _ = _dedup_rows(problem)
+    return problem, keep, _SvecConstraints(problem, keep)
+
+
+class TestSvecCore:
+    @pytest.mark.parametrize("reduced,m,n", [(True, 4, 4), (False, 3, 3)])
+    def test_schur_blocks_match_dense_reference(self, reduced, m, n):
+        problem, keep, cons = svec_problem(reduced, m, n, 1)
+        rng = np.random.default_rng(3)
+        ys, z_invs = [], []
+        for k, blk in enumerate(cons.blocks):
+            dense = [problem.dense_matrix(problem.constraints[row])[k] for row in keep]
+            # rows left out of the block are zero on it
+            left_out = np.setdiff1d(np.arange(len(keep)), blk.rows)
+            assert all(not dense[row].any() for row in left_out)
+            stack = np.array([dense[row] for row in blk.rows])
+            y = random_pd(rng, blk.dim)
+            z_inv = np.linalg.inv(random_pd(rng, blk.dim))
+            ys.append(y)
+            z_invs.append(z_inv)
+            # S_ij = tr(C_i Y C_j Z^-1), one dense product per row pair
+            flat = stack.reshape(len(stack), -1)
+            ref = flat @ (y @ stack @ z_inv).reshape(len(stack), -1).T
+            got = blk.schur(y, z_inv)
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        s = cons.schur(ys, z_invs)
+        assert s.shape == (len(keep), len(keep))
+        assert np.array_equal(s, s.T)
+
+    @pytest.mark.parametrize("reduced,m,n", [(True, 4, 4), (False, 3, 3)])
+    def test_a_and_at_are_adjoint(self, reduced, m, n):
+        problem, keep, cons = svec_problem(reduced, m, n, -1)
+        rng = np.random.default_rng(4)
+        xs = []
+        for blk in cons.blocks:
+            g = rng.standard_normal((blk.dim, blk.dim))
+            xs.append(g + g.T)
+        y = rng.standard_normal(len(keep))
+        ax = cons.a_of(xs)
+        aty = cons.at_of(y)
+        lhs = float(ax @ y)
+        rhs = sum(float((x * w).sum()) for x, w in zip(xs, aty))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+        for mat in aty:
+            assert np.array_equal(mat, mat.T)
+        # A(X)_i = tr(C_i X) against the dense data
+        for pos, row in enumerate(keep):
+            dense = problem.dense_matrix(problem.constraints[row])
+            ref = sum(float((c * x).sum()) for c, x in zip(dense, xs))
+            assert ax[pos] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [_TRI_LEAF + 1, 3 * _TRI_LEAF + 7])
+    def test_triangular_inverse(self, dim):
+        assert dim % 2 == 1 and dim > _TRI_LEAF
+        lower = np.linalg.cholesky(random_pd(np.random.default_rng(dim), dim))
+        inv = _tril_inverse(lower)
+        assert np.abs(inv @ lower - np.eye(dim)).max() <= 1e-12
+        assert not np.triu(inv, 1).any()
+
+
+class TestFallbacks:
+    def test_indefinite_schur_uses_eigen_fallback(self):
+        s = np.diag([1.0, 2.0, -1000.0])
+        with pytest.warns(RuntimeWarning, match="could not be stabilized"):
+            factor = _SchurFactor(s)
+        assert factor.eig is not None
+        assert factor.chol_inv is None
+        # the negative eigenvalue is dropped from the pseudo-inverse
+        assert factor.solve(np.array([1.0, 2.0, 3.0])) == pytest.approx([1.0, 1.0, 0.0])
+
+    def test_dependent_rows_report_schur_shift(self):
+        # x = 1 and 2x = 2: consistent, but the Schur complement is singular
+        problem = SdpProblem(
+            (1,),
+            [{(0, 0, 0): 1.0}, {(0, 0, 0): 2.0}],
+            [1.0, 2.0],
+            {(0, 0, 0): 1.0},
+        )
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert sol.objective_primal == pytest.approx(1.0, abs=1e-6)
+        names = dict(sol.fallbacks)
+        assert 0.0 < names["schur_shift"] <= 1e2
+
+    def test_best_iterate_upgrade_reported(self):
+        reduced, _ = symmetry_reduce(assemble_sdp(2, 3, 1))
+        full = solve(reduced)
+        assert full.status == "optimal"
+        assert "best_iterate" not in dict(full.fallbacks)
+        # one iteration short of convergence the best iterate is within
+        # 100x the tolerance and is accepted as optimal
+        sol = solve(reduced, SolverOptions(max_iterations=full.iterations - 1))
+        assert sol.status == "optimal"
+        assert ("best_iterate", True) in sol.fallbacks
+        early = solve(reduced, SolverOptions(max_iterations=2))
+        assert early.status == "max_iterations"
+        assert ("best_iterate", False) in early.fallbacks
