@@ -198,10 +198,10 @@ def farkas_check(problem, cert, tolerance=1e-6):
             f"problem has {problem.num_constraints}"
         )
     max_entry = max(
-        (abs(v) for entries in problem.constraints for v in entries.values()),
+        (abs(v) for entries in [*problem.constraints, problem.objective]
+         for v in entries.values()),
         default=0.0,
     )
-    max_entry = max(max_entry, *(abs(v) for v in problem.objective.values()))
     defect = psd_defect_of(problem, cert.y0, y)
     scale = (abs(cert.y0) + float(np.abs(y).sum())) * max_entry
     if defect > tolerance * scale:

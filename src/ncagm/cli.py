@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import certify as certify_mod
 from .compiler import assemble_sdp, symmetry_reduce
-from .sdp import SolverOptions, extract_farkas, solve
+from .sdp import SolverOptions, extract_farkas, farkas_from_dual, optimal_dual, solve
 from .sdpa import write_sdpa
 
 EXIT_OK = 0
@@ -174,12 +174,21 @@ def cmd_build_solve(config):
     return EXIT_OK if sol.status == "optimal" else EXIT_SOLVER
 
 
+def _farkas_certificate(problem, config):
+    """Certificate on the full problem.  With symmetry on, the dual comes
+    from the reduced solve and is lifted to the full rows."""
+    options = _solver_options(config)
+    if not config.symmetry:
+        return extract_farkas(problem, config.lambda_target, options=options)
+    reduced, orbits = symmetry_reduce(problem)
+    dual = orbits.lift_dual(optimal_dual(reduced, options))
+    return farkas_from_dual(problem, config.lambda_target, dual)
+
+
 def cmd_certify_farkas(config):
-    m, n = config.m, config.n
-    problem = assemble_sdp(m, n, config.sign)
+    problem = assemble_sdp(config.m, config.n, config.sign)
     try:
-        cert = extract_farkas(problem, config.lambda_target,
-                              options=_solver_options(config))
+        cert = _farkas_certificate(problem, config)
     except Exception as exc:  # noqa: BLE001
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
+import numpy as np
+
 from .ncpoly import NCPolynomial, Permutation, distinct_product_sum
 from .sdp import SdpProblem
 
@@ -149,14 +151,30 @@ def assemble_sdp(m, n, sign):
 @dataclass(frozen=True)
 class SymmetryOrbits:
     """Orbits of Gram-entry coordinates (block i, row a, col b) under the
-    simultaneous letter/block permutation action, folded by matrix symmetry."""
+    simultaneous letter/block permutation action, folded by matrix symmetry.
+
+    word_orbit[k] is the word orbit of full constraint row k, which is also
+    the index of that orbit's row in the reduced problem.
+    """
 
     orbit_id: dict
     representatives: tuple
+    word_orbit: tuple
 
     @property
     def num_free_variables(self):
         return len(self.representatives)
+
+    def lift_dual(self, y_reduced):
+        """Full-problem dual from a reduced one: each word row gets its
+        orbit's multiplier divided by the orbit size; tie rows drop out.
+
+        The lifted slack is the group average of the reduced one, so it is
+        PSD whenever that is, and b'y is unchanged (tie rows have rhs 0).
+        """
+        orbit = np.asarray(self.word_orbit, dtype=np.intp)
+        sizes = np.bincount(orbit)
+        return np.asarray(y_reduced, dtype=float)[orbit] / sizes[orbit]
 
 
 def _generators(n):
@@ -236,25 +254,27 @@ def _coordinate_orbits(n, q, basis):
 
 
 def _word_orbit_reps(words, n):
-    """One word per orbit under relabeling and reversal.  Reversal is merged
-    in because the folded constraint rows of a word and its reversal are the
-    same linear functional on symmetric Gram blocks."""
+    """One word per orbit under relabeling and reversal, and the orbit index
+    of every word in ``words``.  Reversal is merged in because the folded
+    constraint rows of a word and its reversal are the same linear
+    functional on symmetric Gram blocks."""
     gens = _generators(n)
-    seen = set()
+    orbit_of = {}
     reps = []
     for w in words:
-        if w in seen:
+        if w in orbit_of:
             continue
+        oid = len(reps)
         reps.append(w)
         queue = [w]
-        seen.add(w)
+        orbit_of[w] = oid
         while queue:
             cur = queue.pop()
             for nxt in [tuple(g(l) for l in cur) for g in gens] + [cur[::-1]]:
-                if nxt not in seen:
-                    seen.add(nxt)
+                if nxt not in orbit_of:
+                    orbit_of[nxt] = oid
                     queue.append(nxt)
-    return reps
+    return reps, tuple(orbit_of[w] for w in words)
 
 
 def symmetry_reduce(problem):
@@ -283,7 +303,9 @@ def symmetry_reduce(problem):
         _check_invariance(problem, words, basis, sigma)
 
     orbit_id, reps, members = _coordinate_orbits(n, q, basis)
-    orbits = SymmetryOrbits(orbit_id=orbit_id, representatives=tuple(reps))
+    word_reps, word_orbit = _word_orbit_reps(words, n)
+    orbits = SymmetryOrbits(orbit_id=orbit_id, representatives=tuple(reps),
+                            word_orbit=word_orbit)
 
     # reduced blocks: 0 -> lambda, 1 -> Y_1, 2 -> Y_{n+1}
     def reduced_coord(blk, a, b):
@@ -292,7 +314,7 @@ def symmetry_reduce(problem):
 
     constraints = []
     rhs = []
-    for w in _word_orbit_reps(words, n):
+    for w in word_reps:
         k = windex[w]
         acc = {}
         lam = 0.0

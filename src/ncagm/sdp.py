@@ -498,6 +498,32 @@ def psd_defect_of(problem, y0, y):
     return max(float(np.linalg.eigvalsh(blk).max()) for blk in blocks)
 
 
+def farkas_from_dual(problem, lambda_target, dual, margin_threshold=1e-6):
+    """The ray (y0, y) = (-1, dual) on ``problem``, with margin
+    b'dual - lambda_target and its PSD defect measured on ``problem``.
+    Returns None when the margin is at most margin_threshold."""
+    margin = float(np.asarray(problem.rhs) @ dual) - lambda_target
+    if margin <= margin_threshold:
+        return None
+    return FarkasCertificate(
+        lambda_target=float(lambda_target),
+        y0=-1.0,
+        y=dual,
+        margin=margin,
+        psd_defect=psd_defect_of(problem, -1.0, dual),
+        meta=dict(problem.meta),
+    )
+
+
+def optimal_dual(problem, options=None):
+    """Dual optimum y* of the lambda-problem; raises SdpError unless the
+    solve ends optimal."""
+    sol = solve(problem, options)
+    if sol.status != "optimal":
+        raise SdpError(f"solver did not reach optimality: status={sol.status}")
+    return sol.dual
+
+
 def extract_farkas(problem, lambda_target, options=None, margin_threshold=1e-6):
     """Farkas certificate that pinning tr(C0 Y) = lambda_target is infeasible.
 
@@ -505,18 +531,5 @@ def extract_farkas(problem, lambda_target, options=None, margin_threshold=1e-6):
     (y0, y) = (-1, y*) with margin = lambda* - lambda_target.  Returns None
     when lambda_target is feasible (no valid ray exists).
     """
-    sol = solve(problem, options)
-    if sol.status != "optimal":
-        raise SdpError(f"solver did not reach optimality: status={sol.status}")
-    margin = float(np.asarray(problem.rhs) @ sol.dual) - lambda_target
-    if margin <= margin_threshold:
-        return None
-    defect = psd_defect_of(problem, -1.0, sol.dual)
-    return FarkasCertificate(
-        lambda_target=float(lambda_target),
-        y0=-1.0,
-        y=sol.dual,
-        margin=margin,
-        psd_defect=defect,
-        meta=dict(problem.meta),
-    )
+    return farkas_from_dual(problem, lambda_target, optimal_dual(problem, options),
+                            margin_threshold)

@@ -26,7 +26,7 @@ from ncagm.certify import (
     sos_certificate_from_json,
     sos_certificate_to_json,
 )
-from ncagm.sdp import FarkasCertificate
+from ncagm.sdp import FarkasCertificate, SdpProblem
 
 N_CASES = 1000
 
@@ -212,6 +212,14 @@ class TestFarkasCheck:
             assert margin <= 0
         except CertificateError:
             pass  # the PSD-defect assertion tripping is equally acceptable
+
+    def test_empty_objective(self):
+        problem = SdpProblem((1,), [{(0, 0, 0): 1.0}], [1.0], {})
+        cert = FarkasCertificate(0.0, 0.0, np.array([-1.0]), -1.0, -1.0)
+        assert farkas_check(problem, cert) == -1.0
+        bad = FarkasCertificate(0.0, 0.0, np.array([1.0]), 1.0, 1.0)
+        with pytest.raises(CertificateError):
+            farkas_check(problem, bad)
 
     def test_wrong_length_rejected(self):
         problem = assemble_sdp(2, 2, 1)

@@ -147,6 +147,28 @@ class TestCertifyFarkas:
         assert float(report["recomputed_margin"]) > 0
         assert len(report["dual"]) == 15
 
+    def test_symmetry_on_and_off_agree(self, capsys, tmp_path):
+        from ncagm import assemble_sdp
+
+        reports = {}
+        for mode in ("on", "off"):
+            out = tmp_path / f"farkas-{mode}.json"
+            code, _, _ = run(
+                [
+                    "certify", "farkas", "--m", "3", "--n", "3", "--lambda", "3.0",
+                    "--symmetry", mode, "--out", str(out),
+                ],
+                capsys,
+            )
+            assert code == EXIT_OK
+            reports[mode] = json.loads(out.read_text())
+        rows = assemble_sdp(3, 3, 1).num_constraints
+        assert len(reports["on"]["dual"]) == rows
+        assert len(reports["off"]["dual"]) == rows
+        assert float(reports["on"]["recomputed_margin"]) == pytest.approx(
+            float(reports["off"]["recomputed_margin"]), abs=1e-6
+        )
+
 
 class TestCertifySosM2:
     def test_n4(self, capsys):

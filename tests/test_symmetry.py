@@ -1,16 +1,20 @@
 """Symmetry reduction: orbit structure, free-variable counts, invariance
 checking, and agreement of reduced and unreduced optima."""
 
+import numpy as np
 import pytest
 
 from ncagm import (
     InvarianceError,
     assemble_sdp,
+    extract_farkas,
+    farkas_check,
     monomial_basis,
     solve,
     symmetry_reduce,
 )
-from ncagm.compiler import _coordinate_orbits, _generators
+from ncagm.compiler import _coordinate_orbits, _generators, words_up_to
+from ncagm.sdp import farkas_from_dual
 
 
 class TestOrbits:
@@ -121,3 +125,53 @@ class TestOptimumPreserved:
         assert full.status == "optimal"
         assert red.status == "optimal"
         assert abs(full.objective_primal - red.objective_primal) <= 1e-6
+
+
+class TestLiftDual:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for n in range(1, 5) for m in range(1, n + 1)]
+    )
+    def test_lifted_certificate_matches_unreduced(self, m, n, sign):
+        prob = assemble_sdp(m, n, sign)
+        reduced, orbits = symmetry_reduce(prob)
+        red = solve(reduced)
+        assert red.status == "optimal"
+        optimum = red.objective_primal
+        target = optimum - 0.25 - 0.1 * abs(optimum)
+
+        y_full = orbits.lift_dual(red.dual)
+        assert y_full.shape == (prob.num_constraints,)
+        rhs_red = float(np.asarray(reduced.rhs) @ red.dual)
+        assert float(np.asarray(prob.rhs) @ y_full) == pytest.approx(rhs_red, abs=1e-12)
+
+        lifted = farkas_from_dual(prob, target, y_full)
+        reference = extract_farkas(prob, target)
+        assert lifted is not None and reference is not None
+        margin = farkas_check(prob, lifted)  # raises if the full defect is too big
+        assert margin > 0
+        assert margin == pytest.approx(farkas_check(prob, reference), abs=1e-6)
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (3, 3), (2, 4), (4, 4)])
+    def test_lift_constant_on_word_orbits(self, m, n):
+        prob = assemble_sdp(m, n, 1)
+        reduced, orbits = symmetry_reduce(prob)
+        rng = np.random.default_rng(m * 10 + n)
+        y_full = orbits.lift_dual(rng.standard_normal(reduced.num_constraints))
+        words = words_up_to(n, 2 * (m // 2) + 1)
+        windex = {w: k for k, w in enumerate(words)}
+        for k, w in enumerate(words):
+            images = [tuple(g(l) for l in w) for g in _generators(n)] + [w[::-1]]
+            for image in images:
+                assert y_full[windex[image]] == y_full[k]
+
+    def test_multiplier_split_over_orbit_rows(self):
+        # each orbit's multiplier is split evenly over its member rows
+        prob = assemble_sdp(2, 3, 1)
+        reduced, orbits = symmetry_reduce(prob)
+        y_red = np.arange(1.0, reduced.num_constraints + 1.0)
+        y_full = orbits.lift_dual(y_red)
+        per_orbit = np.bincount(orbits.word_orbit, weights=y_full)
+        num_orbits = max(orbits.word_orbit) + 1
+        assert np.allclose(per_orbit, y_red[:num_orbits], rtol=0, atol=1e-12)
+        assert num_orbits + reduced.meta["tie_constraints"] == reduced.num_constraints
