@@ -366,7 +366,12 @@ def solve(problem, options=None):
         if opts.verbose:
             print(f"  iter {it:3d}  pobj {pobj:+.8e}  dobj {dobj:+.8e} "
                   f"gap {rel_gap:.2e}  pres {pres:.2e}  dres {dres:.2e}")
-        merit = max(abs(rel_gap), pres, dres)
+        # on a dual feasible iterate pobj - dobj = <Y, Z> + y'(A(Y) - b), so
+        # a primal residual near the tolerance can still leave the
+        # objectives apart when y is large; the best iterate must have both
+        # close
+        obj_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        merit = max(abs(rel_gap), pres, dres, obj_gap)
         if np.isfinite(merit) and (best is None or merit < best[0]):
             best = (merit, [x.copy() for x in ys], [z.copy() for z in zs],
                     y.copy(), pobj, dobj, gap)

@@ -285,6 +285,8 @@ class TestFallbacks:
         sol = solve(reduced, SolverOptions(max_iterations=full.iterations - 1))
         assert sol.status == "optimal"
         assert ("best_iterate", True) in sol.fallbacks
+        scale = 1.0 + abs(sol.objective_primal) + abs(sol.objective_dual)
+        assert abs(sol.objective_primal - sol.objective_dual) <= 1e-6 * scale
         early = solve(reduced, SolverOptions(max_iterations=2))
         assert early.status == "max_iterations"
         assert ("best_iterate", False) in early.fallbacks

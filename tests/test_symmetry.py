@@ -13,8 +13,15 @@ from ncagm import (
     solve,
     symmetry_reduce,
 )
-from ncagm.compiler import _coordinate_orbits, _generators, words_up_to
+from ncagm.compiler import (
+    _coordinate_orbits,
+    _generators,
+    _isotypic_bases,
+    _split_orbit_matrices,
+    words_up_to,
+)
 from ncagm.sdp import farkas_from_dual
+from ncagm.sdpa import render_sdpa
 
 
 class TestOrbits:
@@ -72,11 +79,20 @@ class TestOrbits:
 
 class TestReducedProblem:
     def test_block_structure(self):
-        prob = assemble_sdp(2, 4, 1)
-        reduced, _ = symmetry_reduce(prob)
-        q = monomial_basis(4, 1).size
-        assert reduced.block_dims == (1, q, q)
+        # one row per word orbit; the letter block Y_1 and Y_{n+1} split
+        # into isotypic blocks whose free entries are exactly the orbits
+        reduced, orbits = symmetry_reduce(assemble_sdp(5, 5, 1))
+        assert reduced.num_constraints == 51
         assert reduced.meta["reduced"] is True
+        sizes = {1: [], 6: []}
+        for block, basis in orbits.components:
+            sizes[block].append(basis.shape[1])
+        assert sorted(sizes[1]) == [1, 1, 6, 8]
+        assert sorted(sizes[6]) == [1, 1, 4, 4]
+        assert reduced.block_dims[1:] == tuple(sizes[1] + sizes[6])
+        free = sum(m * (m + 1) // 2 for m in reduced.block_dims[1:])
+        assert free == orbits.num_free_variables == 81
+        assert reduced.scalar_variable_count == 137
 
     def test_double_reduction_rejected(self):
         reduced, _ = symmetry_reduce(assemble_sdp(2, 3, 1))
@@ -103,6 +119,64 @@ class TestReducedProblem:
             symmetry_reduce(toy)
 
 
+def gram_orbit_matrices(n, d, block):
+    """The 0/1 matrices E_o of the coordinate orbits of one Gram block."""
+    basis = monomial_basis(n, d)
+    q = basis.size
+    _, reps, members = _coordinate_orbits(n, q, basis)
+    mats = []
+    for rep, orbit in zip(reps, members):
+        if rep[0] != block:
+            continue
+        e = np.zeros((q, q))
+        for blk, a, b in orbit:
+            if blk == block:
+                e[a, b] = e[b, a] = 1.0
+        mats.append(e)
+    return np.array(mats)
+
+
+class TestIsotypicDecomposition:
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 4), (5, 5)])
+    def test_orbit_matrices_block_diagonal(self, m, n):
+        _, orbits = symmetry_reduce(assemble_sdp(m, n, 1))
+        for block in (1, n + 1):
+            bases = [basis for blk, basis in orbits.components if blk == block]
+            e = gram_orbit_matrices(n, m // 2, block)
+            q = e.shape[1]
+            qmat = np.concatenate([basis.reshape(q, -1) for basis in bases], axis=1)
+            assert qmat.shape == (q, q)
+            assert np.abs(qmat.T @ qmat - np.eye(q)).max() <= 1e-9
+            t = qmat.T @ e @ qmat
+            pos = 0
+            for basis in bases:
+                _, mult, dim = basis.shape
+                sl = slice(pos, pos + mult * dim)
+                diag = t[:, sl, sl].reshape(len(e), mult, dim, mult, dim)
+                form = np.einsum("ksr,tu->kstru", diag[:, :, 0, :, 0], np.eye(dim))
+                assert np.abs(diag - form).max() <= 1e-9
+                t[:, sl, sl] = 0.0
+                pos += mult * dim
+            assert np.abs(t).max() <= 1e-9
+
+    def test_misaligned_copies_rejected(self):
+        e = gram_orbit_matrices(4, 2, 1)
+        bases = _isotypic_bases(e)
+        assert [b.shape[1:] for b in bases] == [(8, 1), (6, 2), (1, 1)]
+        _split_orbit_matrices(e, bases)
+        bad = [b.copy() for b in bases]
+        bad[1][:, 0, :] = bad[1][:, 0, ::-1]  # still orthonormal
+        with pytest.raises(ArithmeticError):
+            _split_orbit_matrices(e, bad)
+        with pytest.raises(ArithmeticError):
+            _split_orbit_matrices(e, bases[:2])
+
+    def test_export_is_reproducible(self):
+        first = render_sdpa(symmetry_reduce(assemble_sdp(4, 4, 1))[0])
+        second = render_sdpa(symmetry_reduce(assemble_sdp(4, 4, 1))[0])
+        assert first == second
+
+
 class TestOptimumPreserved:
     @pytest.mark.parametrize(
         "m,n,sign",
@@ -115,6 +189,8 @@ class TestOptimumPreserved:
             (3, 3, -1),
             (2, 4, 1),
             (1, 3, -1),
+            (4, 4, 1),
+            (4, 4, -1),
         ],
     )
     def test_reduced_matches_unreduced(self, m, n, sign):
@@ -174,4 +250,4 @@ class TestLiftDual:
         per_orbit = np.bincount(orbits.word_orbit, weights=y_full)
         num_orbits = max(orbits.word_orbit) + 1
         assert np.allclose(per_orbit, y_red[:num_orbits], rtol=0, atol=1e-12)
-        assert num_orbits + reduced.meta["tie_constraints"] == reduced.num_constraints
+        assert num_orbits == reduced.num_constraints
