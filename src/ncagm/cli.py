@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import certify as certify_mod
 from .compiler import assemble_sdp, symmetry_reduce
@@ -41,7 +41,7 @@ class RunConfig:
     n: int | None = None
     lambda_target: float | None = None
     export_only: bool = False
-    meta: dict = field(default_factory=dict)
+    input: str | None = None
 
 
 def _solver_options(config):
@@ -229,7 +229,7 @@ def cmd_certify_sos_m2(config):
 
 
 def cmd_certify_instance(config):
-    matrices, m = certify_mod.load_instance(config.meta["input"])
+    matrices, m = certify_mod.load_instance(config.input)
     report = certify_mod.eval_instance(matrices, m, tolerance=config.tolerance)
     payload = {
         "n": report.n,
@@ -257,7 +257,7 @@ def cmd_certify_instance(config):
     return EXIT_OK
 
 
-def _add_common(parser):
+def _add_solver_options(parser):
     parser.add_argument("--symmetry", choices=["on", "off"], default="on")
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--out", default=None)
@@ -275,14 +275,14 @@ def build_parser():
     p_table.add_argument("--heavy", action="store_true",
                          help="include the n = 5 rows")
     p_table.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    _add_common(p_table)
+    _add_solver_options(p_table)
 
     p_solve = sub.add_parser("solve", help="assemble, export, and solve one SDP")
     p_solve.add_argument("--m", type=int, required=True)
     p_solve.add_argument("--n", type=int, required=True)
     p_solve.add_argument("--sign", choices=["plus", "minus"], default="plus")
     p_solve.add_argument("--export-only", action="store_true")
-    _add_common(p_solve)
+    _add_solver_options(p_solve)
 
     p_cert = sub.add_parser("certify", help="produce or check certificates")
     cert_sub = p_cert.add_subparsers(dest="subcommand", required=True)
@@ -292,17 +292,18 @@ def build_parser():
     p_far.add_argument("--n", type=int, required=True)
     p_far.add_argument("--lambda", dest="lambda_target", type=float, required=True)
     p_far.add_argument("--sign", choices=["plus", "minus"], default="plus")
-    _add_common(p_far)
+    _add_solver_options(p_far)
 
     p_sos = cert_sub.add_parser("sos-m2", help="exact certificate for the "
                                                "improved m=2 lower bound")
     p_sos.add_argument("--n", type=int, required=True)
-    _add_common(p_sos)
+    p_sos.add_argument("--out", default=None)
 
     p_inst = cert_sub.add_parser("check-instance",
                                  help="evaluate an explicit matrix tuple")
     p_inst.add_argument("input", help="instance JSON file")
-    _add_common(p_inst)
+    p_inst.add_argument("--tol", type=float, default=1e-8)
+    p_inst.add_argument("--out", default=None)
 
     return parser
 
@@ -318,6 +319,7 @@ def _config_from(args):
         n=getattr(args, "n", None),
         lambda_target=getattr(args, "lambda_target", None),
         export_only=getattr(args, "export_only", False),
+        input=getattr(args, "input", None),
     )
     sign_text = getattr(args, "sign", "plus")
     config.sign = 1 if sign_text == "plus" else -1
@@ -329,10 +331,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     config = _config_from(args)
 
-    if config.tolerance <= 0:
-        parser.error("--tol must be positive")
+    if not 0 < config.tolerance < math.inf:  # also rejects nan
+        parser.error("--tol must be positive and finite")
+    if config.lambda_target is not None and not math.isfinite(config.lambda_target):
+        parser.error("--lambda must be finite")
+    if config.m is not None and config.m < 1:
+        parser.error(f"--m must be at least 1 (got m={config.m})")
     if config.m is not None and config.n is not None and config.m > config.n:
         parser.error(f"--m must not exceed --n (got m={config.m}, n={config.n})")
+    if getattr(args, "subcommand", None) == "sos-m2" and config.n < 2:
+        parser.error(f"--n must be at least 2 (got n={config.n})")
 
     if args.command == "table":
         rows = list(DEFAULT_ROWS)
@@ -348,7 +356,6 @@ def main(argv=None):
             return cmd_certify_farkas(config)
         if args.subcommand == "sos-m2":
             return cmd_certify_sos_m2(config)
-        config.meta["input"] = args.input
         return cmd_certify_instance(config)
     return EXIT_USAGE
 

@@ -153,6 +153,7 @@ class SymmetryOrbits:
     """Orbits of Gram-entry coordinates (block i, row a, col b) under the
     simultaneous letter/block permutation action, folded by matrix symmetry.
 
+    representatives[o] is the smallest coordinate of orbit o, with a <= b.
     word_orbit[k] is the word orbit of full constraint row k, which is also
     the index of that orbit's row in the reduced problem.  components[j] is
     (i, basis) for reduced block j + 1: the full Gram block i (1 or n+1)
@@ -161,7 +162,6 @@ class SymmetryOrbits:
     and Y_i = sum_t basis[:, :, t] (B / d) basis[:, :, t]^T.
     """
 
-    orbit_id: dict
     representatives: tuple
     word_orbit: tuple
     components: tuple
@@ -192,112 +192,83 @@ def _generators(n):
     return gens
 
 
-def _basis_index_perm(basis, sigma):
-    return [
-        basis.index(tuple(sigma(l) for l in w)) for w in basis.words
-    ]
+def _word_perms(n, degree, sigmas):
+    """Index permutations of words_up_to(n, degree): one per letter
+    permutation in ``sigmas`` (0-based image arrays), then reversal.  A
+    word of degree k sits at offset_k plus its base-n digits (letter - 1),
+    first letter most significant."""
+    perms = [[] for _ in range(len(sigmas) + 1)]
+    offset = 0
+    for k in range(degree + 1):
+        place = n ** np.arange(k - 1, -1, -1)
+        digits = np.arange(n ** k)[:, None] // place % n
+        for perm, sigma in zip(perms, sigmas):
+            perm.append(offset + sigma[digits] @ place)
+        perms[-1].append(offset + digits[:, ::-1] @ place)
+        offset += n ** k
+    return [np.concatenate(perm) for perm in perms]
 
 
-def _check_invariance(problem, words, basis, sigma):
-    """Verify constraint data maps onto itself under one generator."""
-    n = basis.n
-    windex = {w: k for k, w in enumerate(words)}
-    bperm = _basis_index_perm(basis, sigma)
-
-    def map_coord(blk, a, b):
-        nblk = sigma(blk) if 1 <= blk <= n else blk
-        na, nb = bperm[a], bperm[b]
-        return (nblk, na, nb) if na <= nb else (nblk, nb, na)
-
-    for k, w in enumerate(words):
-        wk = windex[tuple(sigma(l) for l in w)]
-        mapped = {}
-        for (blk, a, b), v in problem.constraints[k].items():
-            if blk == 0:
-                mapped[(0, a, b)] = mapped.get((0, a, b), 0.0) + v
-                continue
-            key = map_coord(blk, a, b)
-            mapped[key] = mapped.get(key, 0.0) + v
-        other = problem.constraints[wk]
-        if problem.rhs[k] != problem.rhs[wk]:
-            raise InvarianceError(f"right-hand side not invariant at word {w}")
-        if set(mapped) != set(other) or any(
-            abs(mapped[key] - other[key]) > 1e-12 for key in mapped
-        ):
-            raise InvarianceError(f"constraint data not invariant at word {w}")
+def _coordinate_perms(n, q, sigmas, bperms):
+    """Index permutations of the flat (n+1, q, q) grid of Gram coordinates
+    (block i, a, b) at (i-1)*q*q + a*q + b: one per generator, with letter
+    block i going to sigma(i) and Y_{n+1} fixed, then the transpose."""
+    blk, a, b = np.indices((n + 1, q, q))
+    perms = []
+    for sigma, bperm in zip(sigmas, bperms):
+        image = np.append(sigma, n)[blk]
+        perms.append(((image * q + bperm[a]) * q + bperm[b]).ravel())
+    perms.append(((blk * q + b) * q + a).ravel())
+    return perms
 
 
-def _coordinate_orbits(n, q, basis):
-    """BFS orbits of (block, a, b), block in 1..n+1, with (a,b) ~ (b,a)."""
-    gens = [(g, _basis_index_perm(basis, g)) for g in _generators(n)]
-    orbit_id = {}
-    representatives = []
-    members = []
-    for blk in range(1, n + 2):
-        for a in range(q):
-            for b in range(a, q):
-                start = (blk, a, b)
-                if start in orbit_id:
-                    continue
-                oid = len(representatives)
-                queue = [start]
-                orbit_id[start] = oid
-                orbit = [start]
-                while queue:
-                    cblk, ca, cb = queue.pop()
-                    nbrs = []
-                    for g, bperm in gens:
-                        nblk = g(cblk) if cblk <= n else cblk
-                        na, nb = bperm[ca], bperm[cb]
-                        nbrs.append((nblk, na, nb) if na <= nb else (nblk, nb, na))
-                    for nbr in nbrs:
-                        if nbr not in orbit_id:
-                            orbit_id[nbr] = oid
-                            orbit.append(nbr)
-                            queue.append(nbr)
-                representatives.append(min(orbit))
-                members.append(sorted(orbit))
-    return orbit_id, representatives, members
+def _orbit_labels(perms, size):
+    """Orbit index of each of 0..size-1 under the group generated by the
+    index permutations ``perms``.  Orbits are numbered by their smallest
+    member, which is also the order in which a scan of 0..size-1 first
+    meets them.  Returns (labels, smallest member of each orbit)."""
+    labels = np.arange(size)
+    while True:
+        new = labels
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    reps, labels = np.unique(labels, return_inverse=True)
+    return labels, reps
 
 
-def _word_orbit_reps(words, n):
-    """One word per orbit under relabeling and reversal, and the orbit index
-    of every word in ``words``.  Reversal is merged in because the folded
-    constraint rows of a word and its reversal are the same linear
-    functional on symmetric Gram blocks."""
-    gens = _generators(n)
-    orbit_of = {}
-    reps = []
-    for w in words:
-        if w in orbit_of:
-            continue
-        oid = len(reps)
-        reps.append(w)
-        queue = [w]
-        orbit_of[w] = oid
-        while queue:
-            cur = queue.pop()
-            for nxt in [tuple(g(l) for l in cur) for g in gens] + [cur[::-1]]:
-                if nxt not in orbit_of:
-                    orbit_of[nxt] = oid
-                    queue.append(nxt)
-    return reps, tuple(orbit_of[w] for w in words)
+def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, words):
+    """Verify that row k of the constraint data maps onto row wperm[k]
+    under each generator, given as a word permutation and a Gram-coordinate
+    permutation.  The entries are flat arrays of row r, folded coordinate
+    ``coord`` (the lambda entry at len(tperm), which every generator
+    fixes) and value v.  Keyed by (k, coordinate) and sorted, the two sides
+    must have equal keys and values within 1e-12, and right-hand sides must
+    match exactly; the error names the first word k that fails."""
+    lam = len(tperm)
+    fold = np.append(tperm, lam)
+    rhs = np.asarray(rhs)
+    for wperm, cperm in zip(wperms, cperms):
+        image = np.append(cperm, lam)[coord]
+        mapped = r * (lam + 1) + np.minimum(image, fold[image])
+        target = np.argsort(wperm)[r] * (lam + 1) + coord
+        i, j = np.argsort(mapped), np.argsort(target)
+        bad = (mapped[i] != target[j]) | (np.abs(v[i] - v[j]) > 1e-12)
+        # rows before the first failing one line up in both sorted arrays
+        bad_rows = np.minimum(mapped[i], target[j])[bad] // (lam + 1)
+        bad_rows = np.concatenate([bad_rows, np.flatnonzero(rhs != rhs[wperm])])
+        if len(bad_rows):
+            k = int(bad_rows.min())
+            what = "right-hand side" if rhs[k] != rhs[wperm[k]] else "constraint data"
+            raise InvarianceError(f"{what} not invariant at word {words[k]}")
 
 
 # seed of the generic elements that split the commutant; fixed so that the
 # reduced problem, its SDPA export and its solution are reproducible
 _GENERIC_SEED = 2004
-
-
-def _orbit_matrices(members, oids, block, q):
-    """Stack of the invariant symmetric 0/1 matrices E_o of one Gram block:
-    for each orbit in ``oids``, its entries in that block, both mirrors."""
-    e = np.zeros((len(oids), q, q))
-    for k, oid in enumerate(oids):
-        for blk, a, b in members[oid]:
-            if blk == block:
-                e[k, a, b] = e[k, b, a] = 1.0
-    return e
 
 
 def _eigh(sym):
@@ -396,28 +367,36 @@ def symmetry_reduce(problem):
         if key not in meta:
             raise ValueError("symmetry_reduce needs a problem from assemble_sdp")
     n, d = meta["n"], meta["d"]
-    basis = monomial_basis(n, d)
-    q = basis.size
+    q = monomial_basis(n, d).size
     words = words_up_to(n, 2 * d + 1)
-    windex = {w: k for k, w in enumerate(words)}
+    sigmas = [np.array(g.images) - 1 for g in _generators(n)]
+    # generators then reversal, which is merged in because the folded rows
+    # of a word and its reversal are the same linear functional on
+    # symmetric Gram blocks; the basis is the prefix of the words
+    wperms = _word_perms(n, 2 * d + 1, sigmas)
+    # generators then transpose
+    cperms = _coordinate_perms(n, q, sigmas, [perm[:q] for perm in wperms[:-1]])
+    size = len(cperms[-1])
 
-    for sigma in _generators(n):
-        _check_invariance(problem, words, basis, sigma)
+    row, blk, a, b, val = problem.constraint_arrays()
+    coord = np.where(blk == 0, size, ((blk - 1) * q + a) * q + b)
+    _check_invariance(problem.rhs, row, coord, val, wperms[:-1], cperms[:-1], cperms[-1], words)
 
-    orbit_id, reps, members = _coordinate_orbits(n, q, basis)
-    word_reps, word_orbit = _word_orbit_reps(words, n)
+    coord_orbit, reps = _orbit_labels(cperms, size)
+    word_orbit, word_reps = _orbit_labels(wperms, len(words))
 
     # weight[r, o]: total coefficient of word-orbit row r on coordinate
     # orbit o, both mirror entries counted, so that the row reads
     # sum_o weight[r, o] * y_o on an invariant Y with value y_o on orbit o
-    weight = np.zeros((len(word_reps), len(reps)))
-    lam = np.zeros(len(word_reps))
-    for r, w in enumerate(word_reps):
-        for (blk, a, b), v in problem.constraints[windex[w]].items():
-            if blk == 0:
-                lam[r] += v
-            else:
-                weight[r, orbit_id[(blk, a, b)]] += v if a == b else 2.0 * v
+    on_rep = word_reps[word_orbit[row]] == row
+    gram = on_rep & (blk > 0)
+    weight = np.bincount(
+        word_orbit[row[gram]] * len(reps) + coord_orbit[coord[gram]],
+        weights=np.where(a[gram] == b[gram], val[gram], 2.0 * val[gram]),
+        minlength=len(word_reps) * len(reps),
+    ).reshape(len(word_reps), len(reps))
+    scalar = on_rep & (blk == 0)
+    lam = np.bincount(word_orbit[row[scalar]], weights=val[scalar], minlength=len(word_reps))
 
     # reduced block j + 1 holds B = sum_t Q_t^T Y Q_t over the d aligned
     # copies Q_t of its component, so that <E_o, Y> = <F_o, B> with no
@@ -425,9 +404,10 @@ def symmetry_reduce(problem):
     # times less accurate
     components = []
     row_blocks = []
+    grid = coord_orbit.reshape(n + 1, q, q)
     for block in (1, n + 1):
-        oids = [oid for oid, rep in enumerate(reps) if rep[0] == block]
-        e = _orbit_matrices(members, oids, block, q)
+        oids = np.flatnonzero(reps // (q * q) == block - 1)
+        e = (grid[block - 1] == oids[:, None, None]).astype(float)
         bases = _isotypic_bases(e)
         # on an invariant Y, y_o = <E_o, Y> / <E_o, E_o>
         per_orbit = weight[:, oids] / np.einsum("kab,kab->k", e, e)
@@ -443,10 +423,11 @@ def symmetry_reduce(problem):
         vals = c[:, iu, ju]
         for r, t in zip(*np.nonzero(np.abs(vals) > tiny)):
             constraints[r][(j, int(iu[t]), int(ju[t]))] = float(vals[r, t])
-    rhs = [problem.rhs[windex[w]] for w in word_reps]
+    rhs = [problem.rhs[k] for k in word_reps]
 
-    orbits = SymmetryOrbits(orbit_id=orbit_id, representatives=tuple(reps),
-                            word_orbit=word_orbit, components=tuple(components))
+    representatives = tuple((int(c) // (q * q) + 1, int(c) // q % q, int(c) % q) for c in reps)
+    orbits = SymmetryOrbits(representatives=representatives,
+                            word_orbit=tuple(word_orbit.tolist()), components=tuple(components))
     red_meta = dict(meta)
     red_meta.update(reduced=True, free_variables=len(reps))
     block_dims = (1,) + tuple(bas.shape[1] for _, bas in components)

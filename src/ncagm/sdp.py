@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-
-_STATUSES = ("optimal", "infeasible", "unbounded", "max_iterations", "numerical_failure")
 
 
 class SdpError(ValueError):
@@ -73,6 +72,20 @@ class SdpProblem:
     def scalar_variable_count(self):
         """Number of scalar unknowns across all blocks (sum of squared dims)."""
         return sum(d * d for d in self.block_dims)
+
+    def constraint_arrays(self, rows=None):
+        """The entries of the constraint rows ``rows`` (default: all, in
+        order) as flat arrays (r, block, i, j, value), where r is the
+        position of the entry's row within ``rows``."""
+        rows = range(self.num_constraints) if rows is None else rows
+        data = [self.constraints[k] for k in rows]
+        count = sum(len(entries) for entries in data)
+        keys = np.fromiter(chain.from_iterable(chain.from_iterable(data)),
+                           dtype=np.intp, count=3 * count).reshape(count, 3)
+        values = np.fromiter(chain.from_iterable(e.values() for e in data),
+                             dtype=float, count=count)
+        r = np.repeat(np.arange(len(data)), [len(entries) for entries in data])
+        return r, keys[:, 0], keys[:, 1], keys[:, 2], values
 
     def dense_matrix(self, entries):
         """Expand one sparse symmetric data matrix into dense per-block arrays."""
@@ -167,22 +180,17 @@ class _SvecConstraints:
     stored as one _SvecBlock per PSD block."""
 
     def __init__(self, problem, keep):
-        dims = problem.block_dims
-        local = [{} for _ in dims]  # kept row -> row index within the block
-        coords = [([], [], []) for _ in dims]  # (local row, svec index, value)
-        for row, k in enumerate(keep):
-            for (blk, i, j), v in problem.constraints[k].items():
-                rows_k = local[blk]
-                lr, col, val = coords[blk]
-                lr.append(rows_k.setdefault(row, len(rows_k)))
-                col.append(i * dims[blk] - i * (i - 1) // 2 + (j - i))
-                val.append(v if i == j else np.sqrt(2.0) * v)
+        r, blks, i, j, v = problem.constraint_arrays(keep)
         self.m = len(keep)
         self.blocks = []
-        for d, rows_k, (lr, col, val) in zip(dims, local, coords):
-            a = np.zeros((len(rows_k), d * (d + 1) // 2))
-            a[lr, col] = val
-            rows = np.fromiter(rows_k, dtype=np.intp, count=len(rows_k))
+        for blk, d in enumerate(problem.block_dims):
+            on = blks == blk
+            bi, bj = i[on], j[on]
+            # rows touching the block, and each entry's row among them
+            rows, lr = np.unique(r[on], return_inverse=True)
+            a = np.zeros((len(rows), d * (d + 1) // 2))
+            a[lr, bi * d - bi * (bi - 1) // 2 + (bj - bi)] = np.where(
+                bi == bj, v[on], np.sqrt(2.0) * v[on])
             self.blocks.append(_SvecBlock(d, rows, a))
 
     def a_of(self, mats):

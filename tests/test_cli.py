@@ -62,6 +62,29 @@ class TestTable:
         assert "--tol must be positive" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["table", "--tol", "nan"], "--tol must be positive and finite"),
+            (["table", "--tol", "inf"], "--tol must be positive and finite"),
+            (["certify", "farkas", "--m", "2", "--n", "2", "--lambda", "nan"],
+             "--lambda must be finite"),
+            (["solve", "--m", "0", "--n", "2"], "--m must be at least 1"),
+            (["certify", "sos-m2", "--n", "1"], "--n must be at least 2"),
+            # options a subcommand does not read are not accepted
+            (["certify", "sos-m2", "--n", "3", "--symmetry", "off"],
+             "unrecognized arguments"),
+        ],
+        ids=["tol-nan", "tol-inf", "lambda-nan", "m-0", "sos-m2-n-1", "sos-m2-symmetry"],
+    )
+    def test_bad_input_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+
 class TestSolve:
     def test_solve_2_3_plus(self, capsys, tmp_path):
         base = str(tmp_path / "run")

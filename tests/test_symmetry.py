@@ -1,6 +1,8 @@
 """Symmetry reduction: orbit structure, free-variable counts, invariance
 checking, and agreement of reduced and unreduced optima."""
 
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -14,14 +16,62 @@ from ncagm import (
     symmetry_reduce,
 )
 from ncagm.compiler import (
-    _coordinate_orbits,
+    _coordinate_perms,
     _generators,
     _isotypic_bases,
+    _orbit_labels,
     _split_orbit_matrices,
+    _word_perms,
     words_up_to,
 )
 from ncagm.sdp import farkas_from_dual
 from ncagm.sdpa import render_sdpa
+
+
+def reference_orbits(n, d):
+    """Word and Gram-coordinate orbits by brute force: every permutation of
+    1..n is applied directly to word tuples and to (block, a, b) tuples.
+
+    Returns (word orbit per word of degree <= 2d+1, coordinate orbit per
+    (block, a, b) over the full q x q grid of blocks 1..n+1, smallest
+    upper-triangle member per coordinate orbit); orbits are numbered in
+    the order a scan of the words, or of the upper-triangle coordinates,
+    first meets them."""
+    basis = [w for k in range(d + 1) for w in product(range(1, n + 1), repeat=k)]
+    words = [w for k in range(2 * d + 2) for w in product(range(1, n + 1), repeat=k)]
+    index = {w: k for k, w in enumerate(basis)}
+    q = len(basis)
+    group = list(permutations(range(1, n + 1)))
+
+    word_orbit = {}
+    for w in words:
+        if w not in word_orbit:
+            oid = len(set(word_orbit.values()))
+            for p in group:
+                image = tuple(p[l - 1] for l in w)
+                word_orbit[image] = word_orbit[image[::-1]] = oid
+
+    def image(p, blk, a, b):
+        pa = index[tuple(p[l - 1] for l in basis[a])]
+        pb = index[tuple(p[l - 1] for l in basis[b])]
+        return (p[blk - 1] if blk <= n else blk, min(pa, pb), max(pa, pb))
+
+    coord_orbit = {}
+    reps = []
+    for blk in range(1, n + 2):
+        for a in range(q):
+            for b in range(a, q):
+                if (blk, a, b) not in coord_orbit:
+                    members = {image(p, blk, a, b) for p in group}
+                    for member in members:
+                        coord_orbit[member] = len(reps)
+                    reps.append(min(members))
+    for blk, a, b in list(coord_orbit):
+        coord_orbit[(blk, b, a)] = coord_orbit[(blk, a, b)]
+    return [word_orbit[w] for w in words], coord_orbit, reps
+
+
+REFERENCE_CASES = [(1, 1), (2, 2), (1, 3), (2, 3), (2, 4), (4, 4)]
 
 
 class TestOrbits:
@@ -29,41 +79,22 @@ class TestOrbits:
         _, orbits = symmetry_reduce(assemble_sdp(2, 3, 1))
         assert orbits.num_free_variables == 11
 
-    def test_orbit_map_is_partition(self):
-        for n, d in [(2, 1), (3, 1), (4, 1)]:
-            basis = monomial_basis(n, d)
-            q = basis.size
-            orbit_id, reps, members = _coordinate_orbits(n, q, basis)
-            # every upper-triangle coordinate is covered exactly once
-            coords = {
-                (blk, a, b)
-                for blk in range(1, n + 2)
-                for a in range(q)
-                for b in range(a, q)
-            }
-            assert set(orbit_id) >= coords
-            covered = [c for orbit in members for c in orbit]
-            assert len(covered) == len(set(covered))
-            assert set(covered) == set(orbit_id)
-            # representatives are members of their own orbit
-            for oid, rep in enumerate(reps):
-                assert orbit_id[rep] == oid
+    @pytest.mark.parametrize("m,n", REFERENCE_CASES)
+    def test_orbits_match_brute_force(self, m, n):
+        d = m // 2
+        word_orbit, coord_orbit, reps = reference_orbits(n, d)
+        _, orbits = symmetry_reduce(assemble_sdp(m, n, 1))
+        assert orbits.word_orbit == tuple(word_orbit)
+        assert orbits.representatives == tuple(reps)
 
-    def test_orbits_closed_under_generators(self):
-        n, d = 3, 1
-        basis = monomial_basis(n, d)
-        q = basis.size
-        orbit_id, _, _ = _coordinate_orbits(n, q, basis)
-        bperms = [
-            [basis.index(tuple(g(l) for l in w)) for w in basis.words]
-            for g in _generators(n)
-        ]
-        for (blk, a, b), oid in orbit_id.items():
-            for g, bperm in zip(_generators(n), bperms):
-                nblk = g(blk) if blk <= n else blk
-                na, nb = bperm[a], bperm[b]
-                key = (nblk, na, nb) if na <= nb else (nblk, nb, na)
-                assert orbit_id[key] == oid
+        # the orbit routine on the Gram coordinates, over the whole grid
+        q = monomial_basis(n, d).size
+        sigmas = [np.array(g.images) - 1 for g in _generators(n)]
+        bperms = [perm[:q] for perm in _word_perms(n, d, sigmas)[:-1]]
+        labels, _ = _orbit_labels(_coordinate_perms(n, q, sigmas, bperms), (n + 1) * q * q)
+        grid = labels.reshape(n + 1, q, q)
+        assert all(grid[blk - 1, a, b] == oid for (blk, a, b), oid in coord_orbit.items())
+        assert len(coord_orbit) == grid.size
 
     def test_n1_reduction_is_noop_per_entry(self):
         # trivial group: every distinct coordinate is its own orbit
@@ -99,16 +130,31 @@ class TestReducedProblem:
         with pytest.raises(ValueError):
             symmetry_reduce(reduced)
 
-    def test_non_invariant_input_detected(self):
-        prob = assemble_sdp(2, 3, 1)
+    @pytest.mark.parametrize("tamper", ["rhs", "value", "extra_entry", "moved_entry"])
+    def test_non_invariant_input_detected(self, tamper):
         # breaking one letter-word row destroys the S_n invariance
-        bad_rhs = list(prob.rhs)
-        k = 1  # row of word (1,)
-        bad_rhs[k] = bad_rhs[k] + 1.0
-        tampered = type(prob)(
-            prob.block_dims, prob.constraints, bad_rhs, prob.objective, prob.meta
-        )
-        with pytest.raises(InvarianceError):
+        prob = assemble_sdp(2, 3, 1)
+        k = 1  # row of word (1,), moved by both generators
+        constraints = [dict(row) for row in prob.constraints]
+        rhs = list(prob.rhs)
+        row = constraints[k]
+        if tamper == "rhs":
+            rhs[k] += 1.0
+        elif tamper == "value":
+            key = next(iter(row))
+            row[key] += 1e-6
+        elif tamper == "extra_entry":
+            q = prob.block_dims[1]
+            key = next((1, a, b) for a in range(q) for b in range(a, q)
+                       if (1, a, b) not in row)
+            row[key] = 1.0
+        else:
+            # the row's last entry moves one column right, so the sorted
+            # values still line up and only the keys differ
+            blk, a, b = max(row)
+            row[(blk, a, b + 1)] = row.pop((blk, a, b))
+        tampered = type(prob)(prob.block_dims, constraints, rhs, prob.objective, prob.meta)
+        with pytest.raises(InvarianceError, match=r"at word \(1,\)$"):
             symmetry_reduce(tampered)
 
     def test_plain_problem_rejected(self):
@@ -120,18 +166,18 @@ class TestReducedProblem:
 
 
 def gram_orbit_matrices(n, d, block):
-    """The 0/1 matrices E_o of the coordinate orbits of one Gram block."""
-    basis = monomial_basis(n, d)
-    q = basis.size
-    _, reps, members = _coordinate_orbits(n, q, basis)
+    """The 0/1 matrices E_o of the coordinate orbits of one Gram block,
+    from the brute-force reference."""
+    _, coord_orbit, reps = reference_orbits(n, d)
+    q = len(monomial_basis(n, d).words)
     mats = []
-    for rep, orbit in zip(reps, members):
+    for oid, rep in enumerate(reps):
         if rep[0] != block:
             continue
         e = np.zeros((q, q))
-        for blk, a, b in orbit:
-            if blk == block:
-                e[a, b] = e[b, a] = 1.0
+        for (blk, a, b), member in coord_orbit.items():
+            if blk == block and member == oid:
+                e[a, b] = 1.0
         mats.append(e)
     return np.array(mats)
 
