@@ -1,9 +1,10 @@
 """Exact rational certificate verification and numeric instance checks.
 
 Sum-of-squares certificates are checked with no tolerances at all: PSD-ness
-of the Gram blocks by rational LDL^T, the expansion identity by symbolic
-free-algebra arithmetic over the rationals.  Farkas certificates and
-explicit matrix instances are rechecked in floating point.
+of the Gram blocks by fraction-free (Bareiss) elimination of the
+denominator-scaled integer matrix, the expansion identity by symbolic
+free-algebra arithmetic over one common denominator.  Farkas certificates
+and explicit matrix instances are rechecked in floating point.
 """
 
 from __future__ import annotations
@@ -61,28 +62,36 @@ class RationalMatrix:
 
 
 def psd_check_exact(mat):
-    """Exact PSD decision via rational LDL^T with greedy diagonal pivoting.
+    """Exact PSD decision by fraction-free (Bareiss) symmetric elimination.
 
-    A zero maximal pivot forces the entire remaining principal block to
-    vanish for the matrix to be PSD.
+    The matrix is scaled by the LCM of its entries' denominators and then
+    eliminated in integers with the greedy max-diagonal pivot,
+    a_ij <- (pivot * a_ij - a_ip * a_pj) // prev_pivot, where the division
+    is exact.  By Sylvester's identity each intermediate entry is the
+    rational Schur complement times the previous pivot, which is positive,
+    so the pivot order and every sign are those of rational LDL^T.  A zero
+    maximal pivot forces the entire remaining principal block to vanish for
+    the matrix to be PSD.
     """
-    dim = mat.dim
-    a = [row[:] for row in mat.entries]
-    active = list(range(dim))
-    while active:
-        p = max(active, key=lambda i: a[i][i])
+    rows = mat.entries
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    prev = 1
+    while a:
+        p = max(range(len(a)), key=lambda i: a[i][i])
         pivot = a[p][p]
         if pivot < 0:
             return False
         if pivot == 0:
-            return all(a[i][j] == 0 for i in active for j in active)
-        active.remove(p)
-        for i in active:
-            if a[i][p] == 0:
-                continue
-            factor = a[i][p] / pivot
-            for j in active:
-                a[i][j] -= factor * a[p][j]
+            return not any(any(row) for row in a)
+        row_p = a.pop(p)
+        del row_p[p]
+        rest = []
+        for row in a:
+            f = row.pop(p)
+            rest.append([(pivot * x - f * y) // prev for x, y in zip(row, row_p)])
+        a = rest
+        prev = pivot
     return True
 
 
@@ -103,28 +112,40 @@ class SosCertificate:
 
 
 def expand_gram(n, d, gram_blocks):
-    """Symbolic expansion sum_i sum_{a,b} Y_i[a,b] * rev(beta_a) l_i beta_b."""
+    """Symbolic expansion sum_i sum_{a,b} Y_i[a,b] * rev(beta_a) l_i beta_b.
+
+    The entries are scaled to integers by one common denominator, the LCM
+    over all blocks, and each word's coefficient is divided out once.
+    """
     basis = monomial_basis(n, d)
     q = basis.size
-    acc = {}
     for i, block in enumerate(gram_blocks, start=1):
         if block.dim != q:
             raise ValueError(
                 f"Gram block {i} has dimension {block.dim}, expected {q}"
             )
-        for a in range(q):
-            for b in range(q):
-                coeff = block[a, b]
+    denom = math.lcm(
+        *{v.denominator for block in gram_blocks for row in block.entries for v in row}
+    )
+    acc = {}
+    for i, block in enumerate(gram_blocks, start=1):
+        for a, row in enumerate(block.entries):
+            for b, coeff in enumerate(row):
                 if coeff:
+                    scaled = coeff.numerator * (denom // coeff.denominator)
                     for w, c in localizing_entry(basis, i, a, b).terms.items():
-                        acc[w] = acc.get(w, 0) + coeff * c
-    return NCPolynomial(n, acc)
+                        acc[w] = acc.get(w, 0) + scaled * c
+    return NCPolynomial(n, {w: Fraction(v, denom) for w, v in acc.items()})
 
 
 def verify_sos(cert):
     """True iff every Gram block is exactly PSD and the expansion identity
     holds as an equality of rational noncommutative polynomials."""
     n, m = cert.n, cert.m
+    if cert.sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {cert.sign}")
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if len(cert.gram_blocks) != n + 1:
         raise ValueError(f"expected {n + 1} Gram blocks, got {len(cert.gram_blocks)}")
     d = cert.degree_bound

@@ -22,13 +22,47 @@ from ncagm import (
 )
 from ncagm.certify import (
     SosCertificate,
+    expand_gram,
     load_instance,
     sos_certificate_from_json,
     sos_certificate_to_json,
 )
 from ncagm.sdp import FarkasCertificate, SdpProblem
+from test_compiler import expand_with_gram
 
 N_CASES = 1000
+
+
+def ldlt_psd_reference(mat):
+    """Reference PSD decision: rational LDL^T with greedy diagonal pivoting.
+
+    A zero maximal pivot forces the entire remaining principal block to
+    vanish for the matrix to be PSD.
+    """
+    a = [row[:] for row in mat.entries]
+    active = list(range(mat.dim))
+    while active:
+        p = max(active, key=lambda i: a[i][i])
+        pivot = a[p][p]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            return all(a[i][j] == 0 for i in active for j in active)
+        active.remove(p)
+        for i in active:
+            if a[i][p] == 0:
+                continue
+            factor = a[i][p] / pivot
+            for j in active:
+                a[i][j] -= factor * a[p][j]
+    return True
+
+
+def gram_product(g):
+    """G G^T for a rational matrix G given as a list of rows."""
+    return RationalMatrix(
+        [[sum(x * y for x, y in zip(gi, gj)) for gj in g] for gi in g]
+    )
 
 
 def random_rational_symmetric(rng, dim, lo=-5, hi=5):
@@ -106,12 +140,128 @@ class TestPsdCheckExact:
             assert psd_check_exact(RationalMatrix(prod))
 
 
+class TestPsdAgainstReference:
+    """The fraction-free decision agrees with rational LDL^T."""
+
+    def test_random_symmetric(self):
+        rng = random.Random(33)
+        outcomes = set()
+        for _ in range(600):
+            dim = rng.randint(1, 12)
+            mat = random_rational_symmetric(rng, dim)
+            if rng.random() < 0.5:
+                # shift toward the PSD boundary so both answers occur
+                shift = Fraction(rng.randint(0, 40 * dim), rng.randint(1, 4))
+                mat = RationalMatrix(
+                    [[v + (shift if i == j else 0) for j, v in enumerate(row)]
+                     for i, row in enumerate(mat.entries)]
+                )
+            outcome = psd_check_exact(mat)
+            assert outcome == ldlt_psd_reference(mat), repr(mat)
+            outcomes.add(outcome)
+        assert outcomes == {True, False}
+
+    def test_rank_deficient_gram_products(self):
+        rng = random.Random(34)
+        outcomes = set()
+        for _ in range(300):
+            dim = rng.randint(2, 10)
+            rank = rng.randint(0, dim - 1)
+            g = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)]
+                 for _ in range(dim)]
+            mat = gram_product(g)
+            assert psd_check_exact(mat) and ldlt_psd_reference(mat)
+            # one off-diagonal pair changed: often indefinite, and at rank 0
+            # the zero-pivot branch sees a remaining block that does not vanish
+            i, j = rng.sample(range(dim), 2)
+            rows = [row[:] for row in mat.entries]
+            delta = Fraction(rng.choice([-1, 1]), rng.randint(1, 5))
+            rows[i][j] += delta
+            rows[j][i] += delta
+            bad = RationalMatrix(rows)
+            outcome = psd_check_exact(bad)
+            assert outcome == ldlt_psd_reference(bad), repr(bad)
+            outcomes.add(outcome)
+        assert outcomes == {True, False}
+
+    def test_mixed_denominators(self):
+        rng = random.Random(35)
+        denominators = (1, 2, 3, 7, 8, 9, 25, 2**20, 3**11)
+        results = set()
+        for _ in range(300):
+            dim = rng.randint(1, 8)
+            g = [[Fraction(rng.randint(-9, 9), rng.choice(denominators))
+                  for _ in range(dim)] for _ in range(dim)]
+            rows = [row[:] for row in gram_product(g).entries]
+            k = rng.randrange(dim)
+            rows[k][k] -= Fraction(rng.randint(0, 5), rng.choice(denominators))
+            mat = RationalMatrix(rows)
+            exact = psd_check_exact(mat)
+            assert exact == ldlt_psd_reference(mat), repr(mat)
+            results.add(exact)
+        assert results == {True, False}
+
+    @pytest.mark.parametrize("extra,expected", [(None, True), (0, True), (1, False)])
+    def test_31x31_gram_with_2_pow_40_denominators(self, extra, expected):
+        # M = L L^T with L lower triangular and entries k / 2^20, so M has
+        # denominators 2^40; the Schur complement of M's last diagonal entry
+        # is L[-1][-1]^2.  Lowering that entry by it (extra = 0) leaves a
+        # singular PSD matrix, and lowering it by 2^-40 more makes it
+        # indefinite.
+        rng = random.Random(36)
+        dim, unit = 31, Fraction(1, 2**20)
+        low = [[rng.randint(-2**20, 2**20) * unit if j < i
+                else rng.randint(1, 2**20) * unit if j == i else Fraction(0)
+                for j in range(dim)] for i in range(dim)]
+        rows = [row[:] for row in gram_product(low).entries]
+        if extra is not None:
+            rows[-1][-1] -= low[-1][-1] ** 2 + extra * unit**2
+        # move the lowered index into the middle of the pivot order
+        perm = list(range(dim - 1))
+        perm.insert(13, dim - 1)
+        mat = RationalMatrix([[rows[i][j] for j in perm] for i in perm])
+        assert max(v.denominator for row in mat.entries for v in row) == 2**40
+        assert psd_check_exact(mat) is expected
+        assert ldlt_psd_reference(mat) is expected
+
+
+class TestExpandGram:
+    """The common-denominator expansion equals the term-by-term rational sum."""
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 2)])
+    def test_matches_term_by_term_sum(self, n, d):
+        rng = random.Random(100 * n + d)
+        q = sum(n**k for k in range(d + 1))
+        zero_block = rng.randrange(n + 1)
+        blocks = []
+        for i in range(n + 1):
+            den = 1 if i == zero_block else 2 + 3 * i
+            raw = [[Fraction(rng.randint(-9, 9), den) for _ in range(q)] for _ in range(q)]
+            sym = [[0 if i == zero_block else raw[a][b] + raw[b][a] for b in range(q)]
+                   for a in range(q)]
+            blocks.append(sym)
+        expansion = expand_gram(n, d, [RationalMatrix(b) for b in blocks])
+        assert expansion == expand_with_gram(n, d, 0, blocks)
+
+        # one off-diagonal pair changed breaks the identity
+        i = (zero_block + 1) % (n + 1)
+        blocks[i][0][1] += Fraction(1, 3)
+        blocks[i][1][0] += Fraction(1, 3)
+        assert expansion != expand_with_gram(n, d, 0, blocks)
+        assert expand_gram(n, d, [RationalMatrix(b) for b in blocks]) == expand_with_gram(
+            n, d, 0, blocks
+        )
+
+
 class TestSosCertificates:
     def test_m2_family_exact(self):
-        for n in range(2, 8):
+        # n = 2..20 is the range the certify benchmark certifies
+        for n in range(2, 21):
             cert = build_m2_certificate(n)
             assert cert.lam == Fraction(n * (n - 1), 4)
             assert verify_sos(cert)
+            back = sos_certificate_from_json(sos_certificate_to_json(cert))
+            assert verify_sos(back)
 
     def test_n2_matches_displayed_values(self):
         cert = build_m2_certificate(2)
@@ -161,6 +311,15 @@ class TestSosCertificates:
         )
         with pytest.raises(ValueError):
             verify_sos(bad)
+
+    @pytest.mark.parametrize("m,n,sign", [(2, 3, 0), (2, 3, 2), (0, 3, 1), (4, 3, -1)])
+    def test_malformed_header_rejected(self, m, n, sign):
+        # all-zero blocks with lambda 0 would otherwise certify 0 = 0 * target
+        zero = [["0/1"] * 4 for _ in range(4)]
+        data = {"m": m, "n": n, "sign": sign, "lambda": "0/1",
+                "blocks": [zero] * (n + 1)}
+        with pytest.raises(ValueError):
+            verify_sos(sos_certificate_from_json(data))
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
