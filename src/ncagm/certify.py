@@ -258,6 +258,12 @@ class InstanceReport:
         return self.feasible and not self.violations
 
 
+def distinct_product_bound(m, n):
+    """The conjectured Loewner bound n!/(n-m)!: the number of distinct
+    index tuples in the degree-m product sum."""
+    return float(math.factorial(n) // math.factorial(n - m))
+
+
 def eval_instance(matrices, m, tolerance=1e-9):
     """Evaluate the distinct-product sum on an explicit matrix tuple and
     compare its spectrum against the conjectured and proven bounds."""
@@ -269,6 +275,10 @@ def eval_instance(matrices, m, tolerance=1e-9):
     for a in mats:
         if a.shape != (dim, dim):
             raise ValueError("matrices must be square and of equal dimension")
+        # nan and inf pass the symmetry test below and eigvalsh reads only
+        # one triangle, so they would otherwise reach the verdict
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         if np.abs(a - a.T).max() > tolerance:
             raise ValueError("matrices must be symmetric")
 
@@ -281,7 +291,7 @@ def eval_instance(matrices, m, tolerance=1e-9):
     value = 0.5 * (value + value.T)
     eigs = np.linalg.eigvalsh(value)
     min_eig, max_eig = float(eigs.min()), float(eigs.max())
-    bound = float(math.factorial(n) // math.factorial(n - m))
+    bound = distinct_product_bound(m, n)
 
     improved = {}
     violations = []
@@ -370,6 +380,8 @@ def load_instance(source):
     else:
         with open(source) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict) or not {"n", "m", "matrices"} <= data.keys():
+        raise ValueError('instance must be a JSON object with keys "n", "m" and "matrices"')
     n = int(data["n"])
     m = int(data["m"])
     matrices = []

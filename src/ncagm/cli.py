@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import certify as certify_mod
 from .compiler import assemble_sdp, symmetry_reduce
@@ -29,65 +28,56 @@ DEFAULT_ROWS = [(m, n) for n in range(1, 5) for m in range(1, n + 1)]
 HEAVY_ROWS = [(2, 5), (3, 5), (4, 5), (5, 5)]
 
 
-@dataclass
-class RunConfig:
-    symmetry: bool = True
-    tolerance: float = 1e-8
-    output_format: str = "text"
-    out: str | None = None
-    heavy: bool = False
-    sign: int = 1
-    m: int | None = None
-    n: int | None = None
-    lambda_target: float | None = None
-    export_only: bool = False
-    input: str | None = None
+def _sign(args):
+    return 1 if args.sign == "plus" else -1
 
 
-def _solver_options(config):
-    return SolverOptions(tolerance=config.tolerance)
-
-
-def _solve_lambda(m, n, sign, config):
+def _build_problem(m, n, sign, args):
+    """The SDP for (m, n, sign), symmetry-reduced unless --symmetry off."""
     problem = assemble_sdp(m, n, sign)
-    if config.symmetry:
+    if args.symmetry == "on":
         problem, _ = symmetry_reduce(problem)
-    return solve(problem, _solver_options(config))
+    return problem
 
 
-def _bound(m, n):
-    return float(math.factorial(n) // math.factorial(n - m))
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
 
 
-def cmd_table(rows, config):
-    """Solve both lambda problems per row; returns (rows, had_failure)."""
+def _table_row(m, n, args):
     # a verdict slack at solver accuracy would misflag rows where lambda_1
     # sits exactly on the bound, so widen it past the 1e-8 duality gap
-    verdict_tol = max(config.tolerance, 1e-4)
+    verdict_tol = max(args.tol, 1e-4)
+    bound = certify_mod.distinct_product_bound(m, n)
+    record = {"m": m, "n": n, "bound": bound}
+    options = SolverOptions(tolerance=args.tol)
+    try:
+        sol1 = solve(_build_problem(m, n, -1, args), options)
+        sol2 = solve(_build_problem(m, n, +1, args), options)
+    except Exception as exc:  # noqa: BLE001 - reported in the row
+        return {**record, "error": str(exc), "verdict": "ERROR"}
+    if sol1.status != "optimal" or sol2.status != "optimal":
+        return {**record, "error": f"solver status {sol1.status}/{sol2.status}",
+                "verdict": "ERROR"}
+    lam1, lam2 = sol1.objective_primal, sol2.objective_primal
+    record["lambda1"] = lam1
+    record["lambda2"] = lam2
+    record["verdict"] = "VIOLATION" if max(lam1, lam2) > bound + verdict_tol else "ok"
+    return record
 
-    def solve_row(pair):
-        m, n = pair
-        bound = _bound(m, n)
-        record = {"m": m, "n": n, "bound": bound}
-        try:
-            sol1 = _solve_lambda(m, n, -1, config)
-            sol2 = _solve_lambda(m, n, +1, config)
-        except Exception as exc:  # noqa: BLE001 - reported in the row
-            record["error"] = str(exc)
-            record["verdict"] = "ERROR"
-            return record
-        if sol1.status != "optimal" or sol2.status != "optimal":
-            record["error"] = f"solver status {sol1.status}/{sol2.status}"
-            record["verdict"] = "ERROR"
-            return record
-        lam1, lam2 = sol1.objective_primal, sol2.objective_primal
-        record["lambda1"] = lam1
-        record["lambda2"] = lam2
-        record["verdict"] = "VIOLATION" if max(lam1, lam2) > bound + verdict_tol else "ok"
-        return record
 
-    records = [solve_row(pair) for pair in rows]
-    return records, any(r["verdict"] == "ERROR" for r in records)
+def cmd_table(args):
+    """Solve both lambda problems per row of the grid and print the table."""
+    rows = DEFAULT_ROWS + (HEAVY_ROWS if args.heavy else [])
+    records = [_table_row(m, n, args) for m, n in rows]
+    text = format_table(records, args.format)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_SOLVER if any(r["verdict"] == "ERROR" for r in records) else EXIT_OK
 
 
 def format_table(records, output_format):
@@ -127,14 +117,6 @@ def format_table(records, output_format):
     return "\n".join(lines) + "\n"
 
 
-def _emit(text, config):
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def solution_to_json(problem, sol):
     blocks = []
     for block in sol.primal_blocks:
@@ -154,46 +136,42 @@ def solution_to_json(problem, sol):
     }
 
 
-def cmd_build_solve(config):
-    m, n, sign = config.m, config.n, config.sign
-    problem = assemble_sdp(m, n, sign)
-    if config.symmetry:
-        problem, _ = symmetry_reduce(problem)
-    base = config.out or f"ncagm_m{m}_n{n}_{'plus' if sign > 0 else 'minus'}"
+def cmd_build_solve(args):
+    problem = _build_problem(args.m, args.n, _sign(args), args)
+    base = args.out or f"ncagm_m{args.m}_n{args.n}_{args.sign}"
     dat_path = base + ".dat-s"
     write_sdpa(problem, dat_path)
-    if config.export_only:
+    if args.export_only:
         print(f"wrote {dat_path}")
         return EXIT_OK
-    sol = solve(problem, _solver_options(config))
-    with open(base + ".json", "w") as fh:
-        json.dump(solution_to_json(problem, sol), fh, indent=2)
+    sol = solve(problem, SolverOptions(tolerance=args.tol))
+    _write_json(base + ".json", solution_to_json(problem, sol))
     print(f"lambda = {sol.objective_primal:.4f}  gap = {sol.gap:.2e}  "
           f"status = {sol.status}")
     print(f"wrote {dat_path} and {base}.json")
     return EXIT_OK if sol.status == "optimal" else EXIT_SOLVER
 
 
-def _farkas_certificate(problem, config):
+def _farkas_certificate(problem, args):
     """Certificate on the full problem.  With symmetry on, the dual comes
     from the reduced solve and is lifted to the full rows."""
-    options = _solver_options(config)
-    if not config.symmetry:
-        return extract_farkas(problem, config.lambda_target, options=options)
+    options = SolverOptions(tolerance=args.tol)
+    if args.symmetry == "off":
+        return extract_farkas(problem, args.lambda_target, options=options)
     reduced, orbits = symmetry_reduce(problem)
     dual = orbits.lift_dual(optimal_dual(reduced, options))
-    return farkas_from_dual(problem, config.lambda_target, dual)
+    return farkas_from_dual(problem, args.lambda_target, dual)
 
 
-def cmd_certify_farkas(config):
-    problem = assemble_sdp(config.m, config.n, config.sign)
+def cmd_certify_farkas(args):
+    problem = assemble_sdp(args.m, args.n, _sign(args))
     try:
-        cert = _farkas_certificate(problem, config)
+        cert = _farkas_certificate(problem, args)
     except Exception as exc:  # noqa: BLE001
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     if cert is None:
-        print(f"no certificate: lambda = {config.lambda_target} is feasible "
+        print(f"no certificate: lambda = {args.lambda_target} is feasible "
               "(at or above the optimum)")
         return EXIT_NO_CERTIFICATE
     try:
@@ -203,34 +181,37 @@ def cmd_certify_farkas(config):
         return EXIT_INVALID_CERTIFICATE
     report = certify_mod.farkas_to_json(cert)
     report["recomputed_margin"] = repr(float(margin))
-    if config.out:
-        with open(config.out, "w") as fh:
-            json.dump(report, fh, indent=2)
+    if args.out:
+        _write_json(args.out, report)
     print(f"Farkas certificate: margin = {margin:.4f} > 0, "
-          f"psd_defect = {cert.psd_defect:.3e}; lambda = {config.lambda_target} "
+          f"psd_defect = {cert.psd_defect:.3e}; lambda = {args.lambda_target} "
           "is infeasible")
     return EXIT_OK if margin > 0 else EXIT_INVALID_CERTIFICATE
 
 
-def cmd_certify_sos_m2(config):
-    cert = certify_mod.build_m2_certificate(config.n)
+def cmd_certify_sos_m2(args):
+    cert = certify_mod.build_m2_certificate(args.n)
     verified = certify_mod.verify_sos(cert)
     report = certify_mod.sos_certificate_to_json(cert)
     report["verified"] = verified
-    if config.out:
-        with open(config.out, "w") as fh:
-            json.dump(report, fh, indent=2)
+    if args.out:
+        _write_json(args.out, report)
     if verified:
         print(f"exact identity verified, lambda = {cert.lam} "
-              f"(= {config.n}*{config.n - 1}/4)")
+              f"(= {args.n}*{args.n - 1}/4)")
         return EXIT_OK
     print("certificate FAILED exact verification", file=sys.stderr)
     return EXIT_INVALID_CERTIFICATE
 
 
-def cmd_certify_instance(config):
-    matrices, m = certify_mod.load_instance(config.input)
-    report = certify_mod.eval_instance(matrices, m, tolerance=config.tolerance)
+def cmd_certify_instance(args):
+    try:
+        matrices, m = certify_mod.load_instance(args.input)
+        report = certify_mod.eval_instance(matrices, m, tolerance=args.tol)
+    except (OSError, ValueError, TypeError) as exc:
+        # an unreadable or malformed instance is bad input, not a verdict
+        print(f"ncagm: error: invalid instance {args.input}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     payload = {
         "n": report.n,
         "m": report.m,
@@ -242,9 +223,8 @@ def cmd_certify_instance(config):
         "improved_bounds": {k: repr(v) for k, v in report.improved_bounds.items()},
         "violations": report.violations,
     }
-    if config.out:
-        with open(config.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+    if args.out:
+        _write_json(args.out, payload)
     print(f"min_eig = {report.min_eig:.6f}  max_eig = {report.max_eig:.6f}  "
           f"bound = {report.bound:.4f}")
     if not report.feasible:
@@ -257,10 +237,18 @@ def cmd_certify_instance(config):
     return EXIT_OK
 
 
+def _add_sign(parser):
+    parser.add_argument("--sign", choices=["plus", "minus"], default="plus")
+
+
+def _add_tol_out(parser):
+    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--out")
+
+
 def _add_solver_options(parser):
     parser.add_argument("--symmetry", choices=["on", "off"], default="on")
-    parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--out", default=None)
+    _add_tol_out(parser)
 
 
 def build_parser():
@@ -276,13 +264,15 @@ def build_parser():
                          help="include the n = 5 rows")
     p_table.add_argument("--format", choices=["text", "csv", "json"], default="text")
     _add_solver_options(p_table)
+    p_table.set_defaults(run=cmd_table)
 
     p_solve = sub.add_parser("solve", help="assemble, export, and solve one SDP")
     p_solve.add_argument("--m", type=int, required=True)
     p_solve.add_argument("--n", type=int, required=True)
-    p_solve.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    _add_sign(p_solve)
     p_solve.add_argument("--export-only", action="store_true")
     _add_solver_options(p_solve)
+    p_solve.set_defaults(run=cmd_build_solve)
 
     p_cert = sub.add_parser("certify", help="produce or check certificates")
     cert_sub = p_cert.add_subparsers(dest="subcommand", required=True)
@@ -291,73 +281,41 @@ def build_parser():
     p_far.add_argument("--m", type=int, required=True)
     p_far.add_argument("--n", type=int, required=True)
     p_far.add_argument("--lambda", dest="lambda_target", type=float, required=True)
-    p_far.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    _add_sign(p_far)
     _add_solver_options(p_far)
+    p_far.set_defaults(run=cmd_certify_farkas)
 
     p_sos = cert_sub.add_parser("sos-m2", help="exact certificate for the "
                                                "improved m=2 lower bound")
     p_sos.add_argument("--n", type=int, required=True)
-    p_sos.add_argument("--out", default=None)
+    p_sos.add_argument("--out")
+    p_sos.set_defaults(run=cmd_certify_sos_m2)
 
     p_inst = cert_sub.add_parser("check-instance",
                                  help="evaluate an explicit matrix tuple")
     p_inst.add_argument("input", help="instance JSON file")
-    p_inst.add_argument("--tol", type=float, default=1e-8)
-    p_inst.add_argument("--out", default=None)
+    _add_tol_out(p_inst)
+    p_inst.set_defaults(run=cmd_certify_instance)
 
     return parser
-
-
-def _config_from(args):
-    config = RunConfig(
-        symmetry=(getattr(args, "symmetry", "on") == "on"),
-        tolerance=getattr(args, "tol", 1e-8),
-        output_format=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-        heavy=getattr(args, "heavy", False),
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        lambda_target=getattr(args, "lambda_target", None),
-        export_only=getattr(args, "export_only", False),
-        input=getattr(args, "input", None),
-    )
-    sign_text = getattr(args, "sign", "plus")
-    config.sign = 1 if sign_text == "plus" else -1
-    return config
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from(args)
 
-    if not 0 < config.tolerance < math.inf:  # also rejects nan
+    if "tol" in args and not 0 < args.tol < math.inf:  # also rejects nan
         parser.error("--tol must be positive and finite")
-    if config.lambda_target is not None and not math.isfinite(config.lambda_target):
+    if "lambda_target" in args and not math.isfinite(args.lambda_target):
         parser.error("--lambda must be finite")
-    if config.m is not None and config.m < 1:
-        parser.error(f"--m must be at least 1 (got m={config.m})")
-    if config.m is not None and config.n is not None and config.m > config.n:
-        parser.error(f"--m must not exceed --n (got m={config.m}, n={config.n})")
-    if getattr(args, "subcommand", None) == "sos-m2" and config.n < 2:
-        parser.error(f"--n must be at least 2 (got n={config.n})")
-
-    if args.command == "table":
-        rows = list(DEFAULT_ROWS)
-        if config.heavy:
-            rows += HEAVY_ROWS
-        records, failed = cmd_table(rows, config)
-        _emit(format_table(records, config.output_format), config)
-        return EXIT_SOLVER if failed else EXIT_OK
-    if args.command == "solve":
-        return cmd_build_solve(config)
-    if args.command == "certify":
-        if args.subcommand == "farkas":
-            return cmd_certify_farkas(config)
-        if args.subcommand == "sos-m2":
-            return cmd_certify_sos_m2(config)
-        return cmd_certify_instance(config)
-    return EXIT_USAGE
+    if "m" in args and args.m < 1:
+        parser.error(f"--m must be at least 1 (got m={args.m})")
+    # every command that takes --m also takes --n
+    if "m" in args and args.m > args.n:
+        parser.error(f"--m must not exceed --n (got m={args.m}, n={args.n})")
+    if args.run is cmd_certify_sos_m2 and args.n < 2:
+        parser.error(f"--n must be at least 2 (got n={args.n})")
+    return args.run(args)
 
 
 def entry():

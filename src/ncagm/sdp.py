@@ -100,7 +100,6 @@ class SdpProblem:
 class SolverOptions:
     tolerance: float = 1e-8
     max_iterations: int = 200
-    step_scale: float = 0.98
     verbose: bool = False
 
 
@@ -252,7 +251,11 @@ def _add_to_diagonal(mat, value):
     return out
 
 
-def _max_step(blocks, deltas, chols):
+# fraction of the largest feasible step taken, keeping iterates interior
+_STEP_SCALE = 0.98
+
+
+def _max_step(deltas, chols):
     """Largest alpha with X + alpha*dX staying PSD, per Cholesky scaling."""
     alpha = np.inf
     for x_chol, dx in zip(chols, deltas):
@@ -431,8 +434,8 @@ def solve(problem, options=None):
         atdy = at_of(dy_a)
         dz_a = [rd[k] - atdy[k] for k in range(nblocks)]
         dy_blocks_a = [-ys[k] - _sym(ys[k] @ dz_a[k] @ z_invs[k]) for k in range(nblocks)]
-        ap = min(1.0, _max_step(ys, dy_blocks_a, y_chols))
-        ad = min(1.0, _max_step(zs, dz_a, z_chols))
+        ap = min(1.0, _max_step(dy_blocks_a, y_chols))
+        ad = min(1.0, _max_step(dz_a, z_chols))
         gap_aff = sum(
             float(((ys[k] + ap * dy_blocks_a[k]) * (zs[k] + ad * dz_a[k])).sum())
             for k in range(nblocks)
@@ -450,8 +453,8 @@ def solve(problem, options=None):
             sigma * mu * z_invs[k] - ys[k] - _sym(ys[k] @ dz[k] @ z_invs[k]) - corr[k]
             for k in range(nblocks)
         ]
-        ap = min(1.0, opts.step_scale * _max_step(ys, dy_blocks, y_chols))
-        ad = min(1.0, opts.step_scale * _max_step(zs, dz, z_chols))
+        ap = min(1.0, _STEP_SCALE * _max_step(dy_blocks, y_chols))
+        ad = min(1.0, _STEP_SCALE * _max_step(dz, z_chols))
 
         for k in range(nblocks):
             ys[k] = _sym(ys[k] + ap * dy_blocks[k])

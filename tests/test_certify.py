@@ -447,6 +447,15 @@ class TestEvalInstance:
         with pytest.raises(ValueError):
             eval_instance([np.eye(2)], 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [(0, 1), (1, 0), (1, 1)],
+                             ids=["upper", "lower", "diagonal"])
+    def test_non_finite_entries_rejected(self, value, index):
+        a = np.eye(2)
+        a[index] = value
+        with pytest.raises(ValueError, match="finite"):
+            eval_instance([np.eye(2), a], 2)
+
     def test_load_instance(self, tmp_path):
         import json
 

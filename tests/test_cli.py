@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output formats, and artifacts."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from ncagm.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    build_parser,
     main,
 )
 
@@ -237,3 +241,52 @@ class TestCheckInstance:
         code, _, stderr = run(["certify", "check-instance", path], capsys)
         assert code == EXIT_VIOLATION
         assert "feasibility" in stderr
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,"nan",0,1]]}', "must be finite"),
+            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,0,0,"inf"]]}', "must be finite"),
+            ('{"n":2,"m":3,"matrices":[[1,0,0,1],[1,0,0,1]]}', "need 1 <= m <= n"),
+            ('{"n":2,"m":2,"matrices":[[1,0,0],[1,0,0,1]]}', "not a perfect square"),
+            ('{"n":2,"m":2,"matrices":[[1],[1,0,0,1]]}', "equal dimension"),
+            ('{"n":2,"m":2,"matrices":[[1,1,0,1],[1,0,0,1]]}', "must be symmetric"),
+            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,0,0,1]]', "Expecting"),
+            ('{"n":2,"matrices":[[1,0,0,1],[1,0,0,1]]}', '"n", "m" and "matrices"'),
+            (None, "No such file"),
+        ],
+        ids=["nan", "inf", "m-exceeds-n", "entry-count", "unequal-dims", "asymmetric",
+             "invalid-json", "missing-key", "missing-file"],
+    )
+    def test_bad_instance_exits_2(self, text, message, capsys, tmp_path):
+        path = tmp_path / "instance.json"
+        if text is not None:
+            path.write_text(text)
+        code, stdout, stderr = run(["certify", "check-instance", str(path)], capsys)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "invalid instance" in stderr
+        assert message in stderr
+
+
+def _readme_commands():
+    """Every `ncagm ...` line of README's sh code blocks, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.splitlines():
+            if line.startswith("ncagm "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+class TestReadmeCommands:
+    """README's command lines parse with the current parser (not run)."""
+
+    def test_readme_has_commands(self):
+        assert len(_readme_commands()) >= 5
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        assert callable(args.run)
