@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compiler import localizing_entry, monomial_basis
+from .compiler import monomial_basis
 from .ncpoly import NCPolynomial, distinct_product_sum
 from .sdp import psd_defect_of
 
@@ -31,7 +31,8 @@ class RationalMatrix:
     __slots__ = ("entries", "dim")
 
     def __init__(self, rows):
-        entries = [[Fraction(v) for v in row] for row in rows]
+        entries = [[v if isinstance(v, Fraction) else Fraction(v) for v in row]
+                   for row in rows]
         dim = len(entries)
         for row in entries:
             if len(row) != dim:
@@ -115,10 +116,15 @@ def expand_gram(n, d, gram_blocks):
     """Symbolic expansion sum_i sum_{a,b} Y_i[a,b] * rev(beta_a) l_i beta_b.
 
     The entries are scaled to integers by one common denominator, the LCM
-    over all blocks, and each word's coefficient is divided out once.
+    over all blocks, and accumulated per word in integers: an entry s of
+    block i <= n adds s to rev(beta_a) i beta_b, and one of block n+1 adds
+    n*s to rev(beta_a) beta_b and -s to each rev(beta_a) j beta_b.  Each
+    word's coefficient is divided out once at the end.
     """
     basis = monomial_basis(n, d)
     q = basis.size
+    if len(gram_blocks) > n + 1:
+        raise ValueError(f"at most {n + 1} Gram blocks, got {len(gram_blocks)}")
     for i, block in enumerate(gram_blocks, start=1):
         if block.dim != q:
             raise ValueError(
@@ -127,14 +133,23 @@ def expand_gram(n, d, gram_blocks):
     denom = math.lcm(
         *{v.denominator for block in gram_blocks for row in block.entries for v in row}
     )
+    words = basis.words
     acc = {}
+    get = acc.get
     for i, block in enumerate(gram_blocks, start=1):
-        for a, row in enumerate(block.entries):
-            for b, coeff in enumerate(row):
+        for wa, row in zip(words, block.entries):
+            ra = wa[::-1]
+            # (head, multiplier) pairs of rev(beta_a) l_i, each followed by beta_b
+            if i <= n:
+                heads = [(ra + (i,), 1)]
+            else:
+                heads = [(ra, n)] + [(ra + (j,), -1) for j in range(1, n + 1)]
+            for wb, coeff in zip(words, row):
                 if coeff:
-                    scaled = coeff.numerator * (denom // coeff.denominator)
-                    for w, c in localizing_entry(basis, i, a, b).terms.items():
-                        acc[w] = acc.get(w, 0) + scaled * c
+                    s = coeff.numerator * (denom // coeff.denominator)
+                    for head, c in heads:
+                        w = head + wb
+                        acc[w] = get(w, 0) + c * s
     return NCPolynomial(n, {w: Fraction(v, denom) for w, v in acc.items()})
 
 
@@ -272,6 +287,8 @@ def eval_instance(matrices, m, tolerance=1e-9):
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     mats = [np.asarray(a, dtype=float) for a in matrices]
     dim = mats[0].shape[0]
+    if dim == 0:
+        raise ValueError("matrices must have at least one entry")
     for a in mats:
         if a.shape != (dim, dim):
             raise ValueError("matrices must be square and of equal dimension")
@@ -330,7 +347,8 @@ def eval_instance(matrices, m, tolerance=1e-9):
 
 
 def _frac_str(value):
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -347,16 +365,21 @@ def sos_certificate_to_json(cert):
     }
 
 
+def _int_field(data, key):
+    """data[key] as an int; int() would truncate 2.7 to 2 and accept true."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f'"{key}" must be an integer, got {value!r}')
+    return value
+
+
 def sos_certificate_from_json(data):
     return SosCertificate(
-        m=int(data["m"]),
-        n=int(data["n"]),
-        sign=int(data["sign"]),
+        m=_int_field(data, "m"),
+        n=_int_field(data, "n"),
+        sign=_int_field(data, "sign"),
         lam=Fraction(data["lambda"]),
-        gram_blocks=[
-            RationalMatrix([[Fraction(v) for v in row] for row in block])
-            for block in data["blocks"]
-        ],
+        gram_blocks=[RationalMatrix(block) for block in data["blocks"]],
     )
 
 
@@ -382,8 +405,8 @@ def load_instance(source):
             data = json.load(fh)
     if not isinstance(data, dict) or not {"n", "m", "matrices"} <= data.keys():
         raise ValueError('instance must be a JSON object with keys "n", "m" and "matrices"')
-    n = int(data["n"])
-    m = int(data["m"])
+    n = _int_field(data, "n")
+    m = _int_field(data, "m")
     matrices = []
     for flat in data["matrices"]:
         flat = [float(v) for v in flat]

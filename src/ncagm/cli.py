@@ -306,6 +306,9 @@ def main(argv=None):
 
     if "tol" in args and not 0 < args.tol < math.inf:  # also rejects nan
         parser.error("--tol must be positive and finite")
+    # a relative tolerance of 1 or more accepts the solver's starting point
+    if "tol" in args and args.tol >= 1:
+        parser.error(f"--tol must be less than 1 (got {args.tol:g})")
     if "lambda_target" in args and not math.isfinite(args.lambda_target):
         parser.error("--lambda must be finite")
     if "m" in args and args.m < 1:

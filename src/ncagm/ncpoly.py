@@ -93,7 +93,7 @@ class NCPolynomial:
         for word, coeff in items:
             word = tuple(word)
             _check_word(word, n)
-            clean[word] = clean.get(word, 0) + coeff
+            clean[word] = clean[word] + coeff if word in clean else coeff
         self.n = n
         self.terms = {w: c for w, c in clean.items() if c}
 

@@ -358,6 +358,7 @@ def solve(problem, options=None):
     iterations = 0
     pobj = dobj = gap = np.nan
     best = None  # (merit, ys, zs, y, pobj, dobj, gap)
+    best_it = 0
     stall = 0
     max_shift = 0.0
     eig_iterations = 0
@@ -386,10 +387,13 @@ def solve(problem, options=None):
         if np.isfinite(merit) and (best is None or merit < best[0]):
             best = (merit, [x.copy() for x in ys], [z.copy() for z in zs],
                     y.copy(), pobj, dobj, gap)
+            best_it = it
             stall = 0
         else:
             stall += 1
-        if rel_gap <= opts.tolerance and pres <= opts.tolerance and dres <= opts.tolerance:
+        # the starting iterate is never reported as optimal, however loose
+        # the tolerance: at least one step must have been taken
+        if it and rel_gap <= opts.tolerance and pres <= opts.tolerance and dres <= opts.tolerance:
             status = "optimal"
             break
         if stall >= 6:
@@ -470,9 +474,10 @@ def solve(problem, options=None):
         fallbacks.append(("schur_eig", eig_iterations))
     if status in ("numerical_failure", "max_iterations") and best is not None:
         # fall back to the most accurate iterate seen; accept it as optimal
-        # when it sits within a small factor of the requested tolerance
+        # when it sits within a small factor of the requested tolerance and
+        # is not the starting iterate
         merit, ys, zs, y, pobj, dobj, gap = best
-        if merit <= 100.0 * opts.tolerance:
+        if best_it and merit <= 100.0 * opts.tolerance:
             status = "optimal"
         fallbacks.append(("best_iterate", status == "optimal"))
 

@@ -81,6 +81,14 @@ class TestRationalMatrix:
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2, 3], [2, 1, 0]])
 
+    def test_entries_are_fractions(self):
+        third = Fraction(1, 3)
+        mat = RationalMatrix([[third, "1/2"], [Fraction(2, 4), 7]])
+        # a Fraction entry is kept as it is, not copied
+        assert mat[0, 0] is third
+        assert mat.entries == [[third, Fraction(1, 2)], [Fraction(1, 2), Fraction(7)]]
+        assert all(type(v) is Fraction for row in mat.entries for v in row)
+
     def test_identity(self):
         eye = RationalMatrix.identity(3)
         assert eye[0, 0] == 1 and eye[0, 1] == 0
@@ -228,7 +236,17 @@ class TestPsdAgainstReference:
 class TestExpandGram:
     """The common-denominator expansion equals the term-by-term rational sum."""
 
-    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 2)])
+    @staticmethod
+    def _mixed(rng, value):
+        """value as an int, a "p/q" string or a Fraction, chosen at random."""
+        kind = rng.randrange(3)
+        if kind == 0 and value.denominator == 1:
+            return int(value)
+        if kind == 1:
+            return f"{value.numerator}/{value.denominator}"
+        return value
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
     def test_matches_term_by_term_sum(self, n, d):
         rng = random.Random(100 * n + d)
         q = sum(n**k for k in range(d + 1))
@@ -240,7 +258,13 @@ class TestExpandGram:
             sym = [[0 if i == zero_block else raw[a][b] + raw[b][a] for b in range(q)]
                    for a in range(q)]
             blocks.append(sym)
-        expansion = expand_gram(n, d, [RationalMatrix(b) for b in blocks])
+        # the same values, entered as ints, strings and Fractions
+        mixed = [[[self._mixed(rng, Fraction(v)) for v in row] for row in b] for b in blocks]
+        for a in range(q):
+            for b in range(a):
+                for block in mixed:
+                    block[a][b] = block[b][a]
+        expansion = expand_gram(n, d, [RationalMatrix(b) for b in mixed])
         assert expansion == expand_with_gram(n, d, 0, blocks)
 
         # one off-diagonal pair changed breaks the identity
@@ -251,6 +275,10 @@ class TestExpandGram:
         assert expand_gram(n, d, [RationalMatrix(b) for b in blocks]) == expand_with_gram(
             n, d, 0, blocks
         )
+
+    def test_too_many_blocks_rejected(self):
+        with pytest.raises(ValueError, match="at most 3 Gram blocks"):
+            expand_gram(2, 1, [RationalMatrix.identity(3)] * 4)
 
 
 class TestSosCertificates:
@@ -319,6 +347,20 @@ class TestSosCertificates:
         data = {"m": m, "n": n, "sign": sign, "lambda": "0/1",
                 "blocks": [zero] * (n + 1)}
         with pytest.raises(ValueError):
+            verify_sos(sos_certificate_from_json(data))
+
+    @pytest.mark.parametrize("key,value", [("m", 2.9), ("n", 3.5), ("sign", 1.0),
+                                           ("sign", True), ("m", "2")])
+    def test_non_integer_header_rejected(self, key, value):
+        # int() would truncate m = 2.9 to 2 and verify the m = 2 certificate
+        data = sos_certificate_to_json(build_m2_certificate(3))
+        data[key] = value
+        with pytest.raises(ValueError, match=f'"{key}" must be an integer'):
+            sos_certificate_from_json(data)
+
+    def test_zero_size_blocks_rejected(self):
+        data = {"m": 2, "n": 3, "sign": 1, "lambda": "0/1", "blocks": [[]] * 4}
+        with pytest.raises(ValueError, match="dimension 0"):
             verify_sos(sos_certificate_from_json(data))
 
     def test_small_n_rejected(self):
@@ -455,6 +497,17 @@ class TestEvalInstance:
         a[index] = value
         with pytest.raises(ValueError, match="finite"):
             eval_instance([np.eye(2), a], 2)
+
+    def test_zero_size_rejected(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            eval_instance([np.zeros((0, 0)), np.zeros((0, 0))], 2)
+
+    @pytest.mark.parametrize("key,value", [("n", 2.7), ("m", 1.5), ("n", True), ("m", None)])
+    def test_load_instance_non_integer_rejected(self, key, value):
+        payload = {"n": 2, "m": 2, "matrices": [[1, 0, 0, 1], [1, 0, 0, 1]]}
+        payload[key] = value
+        with pytest.raises(ValueError, match=f'"{key}" must be an integer'):
+            load_instance(payload)
 
     def test_load_instance(self, tmp_path):
         import json

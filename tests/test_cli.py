@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, and artifacts."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -72,6 +73,10 @@ class TestUsageErrors:
         [
             (["table", "--tol", "nan"], "--tol must be positive and finite"),
             (["table", "--tol", "inf"], "--tol must be positive and finite"),
+            # a tolerance of 1 or more would accept the starting iterate
+            (["table", "--tol", "1000"], "--tol must be less than 1"),
+            (["certify", "check-instance", "x.json", "--tol", "1"],
+             "--tol must be less than 1"),
             (["certify", "farkas", "--m", "2", "--n", "2", "--lambda", "nan"],
              "--lambda must be finite"),
             (["solve", "--m", "0", "--n", "2"], "--m must be at least 1"),
@@ -80,7 +85,8 @@ class TestUsageErrors:
             (["certify", "sos-m2", "--n", "3", "--symmetry", "off"],
              "unrecognized arguments"),
         ],
-        ids=["tol-nan", "tol-inf", "lambda-nan", "m-0", "sos-m2-n-1", "sos-m2-symmetry"],
+        ids=["tol-nan", "tol-inf", "tol-1000", "check-instance-tol-1", "lambda-nan", "m-0",
+             "sos-m2-n-1", "sos-m2-symmetry"],
     )
     def test_bad_input_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as err:
@@ -197,7 +203,39 @@ class TestCertifyFarkas:
         )
 
 
+# sha256 of the `certify sos-m2 --n k --out FILE` artifact, k = 2..20; an
+# exact-path change that alters a single byte of a certificate fails here
+SOS_M2_SHA256 = {
+    2: "d8324d293b5c9a6a42e8264162e6596f5bec9fad0e4e32b29575c6243bfbaab8",
+    3: "1b1a7a2ebb6d7d62e97ff3f13a63d1e1b98ab9e0aedc448a81a2a21cadd0b823",
+    4: "4886e50f5e81837f9a1f3b1a7b01de1404ad2b3fba8902fd913a2fda8ea4bfce",
+    5: "104c7cd81b4c6675ea5edf9f95b6def32b527b2d03919de0efc1907e3d0f0684",
+    6: "34d62616fb1d0a41e0f3ce81c31769c0d177738bb94f50cf91bdd920eada025a",
+    7: "6f706edcaa2299da5396fe8fa886806da679be2cc0e4d433bca9d51f03808283",
+    8: "1b32a436156900509fef237471e3cbe4891a5dc082aaa28f7451302665c2b3b2",
+    9: "e4c8978cd4fde92e91c52ae34f9f33a595147b356824b32c6f82367202eaaf2d",
+    10: "054a263544ae56836022951bd85e61c6acf0195f895e0fc3e50381133a410ee7",
+    11: "2d673137f9ce14274c6c8219ed252076b9c5f77ec992eb4991efa8265c55ad65",
+    12: "ae7fe679292d0d9ef5cbf2cb4e259c87904614287ad7da5d4d4dd958338c6c6d",
+    13: "b77a2de847e02f549e4e1e75e17fbcd2c63750953f180f06fe73bad2f8494ed5",
+    14: "53c8d0fbef9427f673dde5dbbb0c13d6c0b5f0928b5d33a60fff2f8a85b0f6cf",
+    15: "572c6e404fffa15d54b6893bd17f36f62c7c0090f93115b985eaffd4ab8f964d",
+    16: "5c4d2057ca827138d755feb58a0975491491f196c7f6b4b160564be730891f69",
+    17: "52719db94465149f0a83b4ec075c0781a38cc85e036432c18d3eb9f0520c4da5",
+    18: "dc5b1c891ca272064cce68c6423a137a4edb4ea8dbd5b6dcf3e0e2305353211d",
+    19: "95ce925aa532b3413c0cad6857073078faa0b16c996976f1fb3f85be5079d67d",
+    20: "508535c90b0e62cddc8c7e3b48c0842d6b9eb8db679d6aed6afdf85f1b3db6bf",
+}
+
+
 class TestCertifySosM2:
+    @pytest.mark.parametrize("n", sorted(SOS_M2_SHA256))
+    def test_artifact_bytes_pinned(self, n, capsys, tmp_path):
+        out = tmp_path / "sos.json"
+        code, _, _ = run(["certify", "sos-m2", "--n", str(n), "--out", str(out)], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SOS_M2_SHA256[n]
+
     def test_n4(self, capsys):
         code, stdout, _ = run(["certify", "sos-m2", "--n", "4"], capsys)
         assert code == EXIT_OK
@@ -254,9 +292,14 @@ class TestCheckInstance:
             ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,0,0,1]]', "Expecting"),
             ('{"n":2,"matrices":[[1,0,0,1],[1,0,0,1]]}', '"n", "m" and "matrices"'),
             (None, "No such file"),
+            ('{"n":2.7,"m":2,"matrices":[[1,0,0,1],[1,0,0,1]]}', '"n" must be an integer'),
+            ('{"n":2,"m":2.9,"matrices":[[1,0,0,1],[1,0,0,1]]}', '"m" must be an integer'),
+            ('{"n":1,"m":true,"matrices":[[1]]}', '"m" must be an integer'),
+            ('{"n":2,"m":2,"matrices":[[],[]]}', "at least one entry"),
         ],
         ids=["nan", "inf", "m-exceeds-n", "entry-count", "unequal-dims", "asymmetric",
-             "invalid-json", "missing-key", "missing-file"],
+             "invalid-json", "missing-key", "missing-file", "float-n", "float-m", "bool-m",
+             "zero-size"],
     )
     def test_bad_instance_exits_2(self, text, message, capsys, tmp_path):
         path = tmp_path / "instance.json"

@@ -66,6 +66,17 @@ class TestBasics:
         assert (2,) not in p.terms
         assert (p - p).terms == {}
 
+    def test_construction_combines_and_keeps_coefficients(self):
+        # duplicate words combine, and a sum that reaches zero is dropped
+        p = NCPolynomial(2, [((1,), 2), ((1,), Fraction(1, 2)), ((2,), 3), ([2], -3)])
+        assert p.terms == {(1,): Fraction(5, 2)}
+        # a word given once keeps its coefficient's value and type
+        for coeff in (Fraction(2, 3), 7, 0.25):
+            (stored,) = NCPolynomial(2, {(1, 2): coeff}).terms.values()
+            assert stored == coeff and type(stored) is type(coeff)
+        with pytest.raises(ValueError):
+            NCPolynomial(2, [((1,), 1), ((3,), 1)])
+
     def test_degree_and_coefficient(self):
         p = NCPolynomial(2, {(): 3, (1, 2, 1): -1})
         assert p.degree() == 3

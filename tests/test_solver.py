@@ -161,6 +161,17 @@ class TestStatuses:
         assert sol.status in ("max_iterations", "optimal")
         assert sol.iterations <= 3
 
+    def test_starting_iterate_never_optimal(self):
+        # the starting iterate's relative gap is below this tolerance, so
+        # stopping there would report alpha0 * I as the optimum
+        sol = solve(assemble_sdp(1, 1, 1), SolverOptions(tolerance=1000.0))
+        assert sol.status == "optimal"
+        assert sol.iterations >= 2
+        # nor through the best-iterate fallback when no later iterate is seen
+        sol = solve(assemble_sdp(1, 1, 1), SolverOptions(tolerance=1000.0, max_iterations=1))
+        assert sol.status == "max_iterations"
+        assert sol.fallbacks == (("best_iterate", False),)
+
 
 class TestFarkas:
     def test_infeasible_target_2_2(self):
