@@ -19,6 +19,18 @@ Schur complement is assembled block by block as A_k (Y_k (x) Z_k^-1) A_k^T,
 with (x) the symmetric Kronecker product, on those rows only.  It is
 factored by Cholesky once per iteration, and the factor is inverted once
 so that every direction solve is two matrix-vector products.
+
+Blocks of equal size are grouped once per solve, and the iterates Y and Z
+and every per-block intermediate are held as one (c, d, d) stack per group.
+Each Cholesky factorization, inverse, step-length eigenvalue problem and
+matrix product then runs as one batched numpy call per group; the reduced
+problems have many small blocks, where the fixed cost of a call outweighs
+its arithmetic.  Batching leaves each LAPACK call and each product acting
+on the same matrix, but floating-point addition is not associative, so
+every sum over blocks (objectives, gap, residual norm, and the rows of A(X)
+and of the Schur complement that several blocks share) is still taken in
+the problem's block order.  The iterates thus match a block-by-block
+computation bit for bit.
 """
 
 from __future__ import annotations
@@ -135,83 +147,137 @@ def _dedup_rows(problem):
     return keep, contradiction
 
 
-class _SvecBlock:
-    """Constraint data of one PSD block in svec coordinates.
+def _dim_groups(dims):
+    """Block indices grouped by dimension: each group in block order, the
+    groups in order of first appearance."""
+    groups = {}
+    for k, d in enumerate(dims):
+        groups.setdefault(d, []).append(k)
+    return list(groups.values())
+
+
+class _SvecGroup:
+    """Constraint data of the PSD blocks of one dimension in svec coordinates.
 
     svec(X) = scale * X[iu, ju] over the upper triangle, so that
-    svec(X) . svec(W) = <X, W> for symmetric X and W.  ``a`` holds
-    svec(C_i) for the constraint rows ``rows`` that touch the block; all
-    other rows are zero on it and are left out.
+    svec(X) . svec(W) = <X, W> for symmetric X and W.  Member k is block
+    ``blocks[k]``; ``a[k]`` holds svec(C_i) for the constraint rows
+    ``rows[k]`` that touch it, and all other rows are zero on it and are
+    left out.  Matrices come and go as one (c, d, d) stack over the c
+    members.
     """
 
-    def __init__(self, dim, rows, a):
+    def __init__(self, dim, blocks, rows, a):
         self.dim = dim
-        self.iu, self.ju = np.triu_indices(dim)
-        self.scale = np.where(self.iu == self.ju, 1.0, np.sqrt(2.0))
+        self.blocks = blocks
         self.rows = rows
         self.a = a
+        self.iu, self.ju = np.triu_indices(dim)
+        self.scale = np.where(self.iu == self.ju, 1.0, np.sqrt(2.0))
+        half = 0.5 * self.scale
+        self.half_outer = np.multiply.outer(half, half)
+        # flat d*d positions of the index pairs the symmetric Kronecker
+        # product reads, e.g. _ij[p, q] = iu[p] * d + ju[q]
+        iu_rows, ju_rows = self.iu * dim, self.ju * dim
+        self._ij = np.add.outer(iu_rows, self.ju)
+        self._ji = np.add.outer(ju_rows, self.iu)
+        self._ii = np.add.outer(iu_rows, self.iu)
+        self._jj = np.add.outer(ju_rows, self.ju)
 
-    def svec(self, mat):
-        return self.scale * mat[self.iu, self.ju]
+    def svec(self, mats):
+        return self.scale * mats[:, self.iu, self.ju]
 
-    def smat(self, vec):
-        out = np.empty((self.dim, self.dim))
-        half = vec / self.scale
-        out[self.iu, self.ju] = half
-        out[self.ju, self.iu] = half
+    def smat(self, vecs):
+        out = np.empty((len(vecs), self.dim, self.dim))
+        half = vecs / self.scale
+        out[:, self.iu, self.ju] = half
+        out[:, self.ju, self.iu] = half
         return out
 
-    def schur(self, y, z_inv):
-        """Rows ``rows`` of the Schur complement, S_ij = tr(C_i Y C_j Z^-1),
-        as A (Y (x) Z^-1) A^T with the symmetric Kronecker product in svec
-        coordinates."""
-        iu, ju = self.iu, self.ju
-        cross = y[np.ix_(iu, ju)] * z_inv[np.ix_(ju, iu)]
-        kron = (y[np.ix_(iu, iu)] * z_inv[np.ix_(ju, ju)]
-                + y[np.ix_(ju, ju)] * z_inv[np.ix_(iu, iu)] + cross + cross.T)
-        half = 0.5 * self.scale
-        kron *= np.multiply.outer(half, half)
-        return _sym((self.a @ kron) @ self.a.T)
+    def schur_parts(self, y, z_inv):
+        """Per member, rows ``rows[k]`` of the Schur complement,
+        S_ij = tr(C_i Y C_j Z^-1), as A (Y (x) Z^-1) A^T with the symmetric
+        Kronecker product in svec coordinates."""
+        yf = y.reshape(len(y), -1)
+        zf = z_inv.reshape(len(z_inv), -1)
+        cross = yf[:, self._ij] * zf[:, self._ji]
+        kron = (yf[:, self._ii] * zf[:, self._jj]
+                + yf[:, self._jj] * zf[:, self._ii] + cross + _t(cross))
+        kron *= self.half_outer
+        return [_sym((a @ k) @ a.T) for a, k in zip(self.a, kron)]
 
 
 class _SvecConstraints:
     """The constraint operator A(X) = (tr(C_i X))_i over the kept rows,
-    stored as one _SvecBlock per PSD block."""
+    stored as one _SvecGroup per block dimension.  Block matrices travel as
+    one stack per group (``stack``/``unstack``); every sum over blocks runs
+    in block order."""
 
     def __init__(self, problem, keep):
         r, blks, i, j, v = problem.constraint_arrays(keep)
+        dims = problem.block_dims
         self.m = len(keep)
-        self.blocks = []
-        for blk, d in enumerate(problem.block_dims):
-            on = blks == blk
-            bi, bj = i[on], j[on]
-            # rows touching the block, and each entry's row among them
-            rows, lr = np.unique(r[on], return_inverse=True)
-            a = np.zeros((len(rows), d * (d + 1) // 2))
-            a[lr, bi * d - bi * (bi - 1) // 2 + (bj - bi)] = np.where(
-                bi == bj, v[on], np.sqrt(2.0) * v[on])
-            self.blocks.append(_SvecBlock(d, rows, a))
+        self.groups = []
+        for members in _dim_groups(dims):
+            d = dims[members[0]]
+            rows, mats = [], []
+            for blk in members:
+                on = blks == blk
+                bi, bj = i[on], j[on]
+                # rows touching the block, and each entry's row among them
+                block_rows, lr = np.unique(r[on], return_inverse=True)
+                a = np.zeros((len(block_rows), d * (d + 1) // 2))
+                a[lr, bi * d - bi * (bi - 1) // 2 + (bj - bi)] = np.where(
+                    bi == bj, v[on], np.sqrt(2.0) * v[on])
+                rows.append(block_rows)
+                mats.append(a)
+            self.groups.append(_SvecGroup(d, members, rows, mats))
+        # position of each block among the members listed group by group
+        self._pos = np.argsort(np.concatenate([g.blocks for g in self.groups]))
+        rows_by_block = self.unstack([g.rows for g in self.groups])
+        self._rows = np.concatenate(rows_by_block)
+        # index grids of each block's rows in the Schur complement; a flat
+        # index array would hold sum(len(rows)^2) integers for the solve
+        self._schur_ix = [np.ix_(rows, rows) for rows in rows_by_block]
+
+    def stack(self, blocks):
+        """Per-block matrices as one (c, d, d) stack per group."""
+        return [np.stack([blocks[k] for k in g.blocks]) for g in self.groups]
+
+    def unstack(self, per_group):
+        """Per-member items, given group by group (a stack or a list per
+        group), in block order."""
+        flat = list(chain.from_iterable(per_group))
+        return [flat[p] for p in self._pos]
+
+    def block_sums(self, stacks):
+        """Sum of the entries of each block, in block order."""
+        sums = np.concatenate([x.reshape(len(x), -1).sum(axis=1) for x in stacks])
+        return sums[self._pos]
 
     def a_of(self, mats):
-        out = np.zeros(self.m)
-        for blk, x in zip(self.blocks, mats):
-            out[blk.rows] += blk.a @ blk.svec(x)
-        return out
+        parts = self.unstack(
+            [a @ v for a, v in zip(g.a, g.svec(x))] for g, x in zip(self.groups, mats))
+        # bincount adds the parts in block order, as a loop of += would
+        return np.bincount(self._rows, weights=np.concatenate(parts), minlength=self.m)
 
     def at_of(self, y):
-        return [blk.smat(y[blk.rows] @ blk.a) for blk in self.blocks]
+        return [g.smat(np.array([y[rows] @ a for rows, a in zip(g.rows, g.a)]))
+                for g in self.groups]
 
     def max_row_norm(self):
         """Largest Frobenius norm of one constraint matrix on one block."""
-        return max(float(np.linalg.norm(blk.a, axis=1).max(initial=0.0))
-                   for blk in self.blocks)
+        return max(float(np.linalg.norm(a, axis=1).max(initial=0.0))
+                   for g in self.groups for a in g.a)
 
     def schur(self, ys, z_invs):
         """S_ij = tr(C_i Y C_j Z^-1), each block adding onto the rows it
-        touches."""
+        touches, in block order."""
+        parts = self.unstack(
+            g.schur_parts(y, z) for g, y, z in zip(self.groups, ys, z_invs))
         s = np.zeros((self.m, self.m))
-        for blk, yk, zk in zip(self.blocks, ys, z_invs):
-            s[np.ix_(blk.rows, blk.rows)] += blk.schur(yk, zk)
+        for ix, part in zip(self._schur_ix, parts):
+            s[ix] += part
         return s
 
 
@@ -240,8 +306,13 @@ def _tril_invert_into(lower, out):
     out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
 
 
-def _sym(mat):
-    return 0.5 * (mat + mat.T)
+def _t(mats):
+    """Transpose of each matrix in a stack (or of one matrix)."""
+    return mats.swapaxes(-1, -2)
+
+
+def _sym(mats):
+    return 0.5 * (mats + _t(mats))
 
 
 def _add_to_diagonal(mat, value):
@@ -255,15 +326,19 @@ def _add_to_diagonal(mat, value):
 _STEP_SCALE = 0.98
 
 
-def _max_step(deltas, chols):
-    """Largest alpha with X + alpha*dX staying PSD, per Cholesky scaling."""
-    alpha = np.inf
-    for x_chol, dx in zip(chols, deltas):
-        w = np.linalg.solve(x_chol, np.linalg.solve(x_chol, dx).T).T
-        lam = np.linalg.eigvalsh(_sym(w)).min()
-        if lam < -1e-14:
-            alpha = min(alpha, -1.0 / lam)
-    return alpha
+def _max_steps(deltas, chols):
+    """Largest alpha_p and alpha_d keeping Y + alpha_p dY and Z + alpha_d dZ
+    PSD, per Cholesky scaling.  Per group, ``deltas`` stacks [dY; dZ] and
+    ``chols`` the factors [L(Y); L(Z)] of the same members."""
+    lams = []
+    for dx, chol in zip(deltas, chols):
+        w = _t(np.linalg.solve(chol, _t(np.linalg.solve(chol, dx))))
+        lams.append(np.linalg.eigvalsh(_sym(w)).min(axis=-1).reshape(2, -1))
+    steps = []
+    for lam in np.concatenate(lams, axis=1):
+        lam = lam[lam < -1e-14]
+        steps.append(float((-1.0 / lam).min()) if lam.size else np.inf)
+    return steps
 
 
 class _SchurFactor:
@@ -331,8 +406,9 @@ def solve(problem, options=None):
     """Solve a standard-form block SDP; never raises on numerical trouble,
     reporting it in Solution.status instead."""
     opts = options or SolverOptions()
+    if opts.max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {opts.max_iterations}")
     dims = problem.block_dims
-    nblocks = len(dims)
     nu = sum(dims)
 
     keep, contradiction = _dedup_rows(problem)
@@ -343,15 +419,17 @@ def solve(problem, options=None):
     m = len(keep)
     b = np.array([problem.rhs[k] for k in keep], dtype=float)
     cons = _SvecConstraints(problem, keep)
-    a_of, at_of = cons.a_of, cons.at_of
-    c0 = problem.dense_matrix(problem.objective)
+    a_of, at_of, block_sums = cons.a_of, cons.at_of, cons.block_sums
+    c0_blocks = problem.dense_matrix(problem.objective)
     norm_c = cons.max_row_norm()
     alpha0 = 1.0 + (float(np.abs(b).max()) if m else 0.0) + max(
-        norm_c, float(np.linalg.norm(np.concatenate([blk.ravel() for blk in c0])))
+        norm_c, float(np.linalg.norm(np.concatenate([blk.ravel() for blk in c0_blocks])))
     )
 
-    ys = [alpha0 * np.eye(d) for d in dims]
-    zs = [alpha0 * np.eye(d) for d in dims]
+    # one (c, d, d) stack per group of same-size blocks
+    c0 = cons.stack(c0_blocks)
+    ys = [alpha0 * np.broadcast_to(np.eye(c.shape[-1]), c.shape) for c in c0]
+    zs = [x.copy() for x in ys]
     y = np.zeros(m)
 
     status = "max_iterations"
@@ -365,16 +443,15 @@ def solve(problem, options=None):
 
     for it in range(opts.max_iterations):
         iterations = it
-        pobj = sum(float((c0[k] * ys[k]).sum()) for k in range(nblocks))
+        pobj = sum(block_sums([c * x for c, x in zip(c0, ys)]).tolist())
         dobj = float(b @ y)
         rp = b - a_of(ys)
-        aty = at_of(y)
-        rd = [c0[k] - aty[k] - zs[k] for k in range(nblocks)]
-        gap = sum(float((ys[k] * zs[k]).sum()) for k in range(nblocks))
+        rd = [c - t - z for c, t, z in zip(c0, at_of(y), zs)]
+        gap = sum(block_sums([x * z for x, z in zip(ys, zs)]).tolist())
 
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         pres = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
-        dres = float(np.sqrt(sum((blk ** 2).sum() for blk in rd))) / (1.0 + norm_c)
+        dres = float(np.sqrt(sum(block_sums([r ** 2 for r in rd])))) / (1.0 + norm_c)
         if opts.verbose:
             print(f"  iter {it:3d}  pobj {pobj:+.8e}  dobj {dobj:+.8e} "
                   f"gap {rel_gap:.2e}  pres {pres:.2e}  dres {dres:.2e}")
@@ -412,57 +489,53 @@ def solve(problem, options=None):
             break
 
         try:
-            z_chols = [np.linalg.cholesky(z) for z in zs]
-            y_chols = [np.linalg.cholesky(x) for x in ys]
+            # per group, the factors of [Y; Z]
+            chols = [np.linalg.cholesky(np.concatenate([x, z])) for x, z in zip(ys, zs)]
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
         z_invs = []
-        for k in range(nblocks):
-            eye = np.eye(dims[k])
-            z_invs.append(_sym(np.linalg.solve(z_chols[k].T, np.linalg.solve(z_chols[k], eye))))
+        for chol in chols:
+            z_chol = chol[len(chol) // 2:]
+            # numpy 1.x reads a (d, d) right-hand side against a stack as
+            # a stack of vectors, so the identity is broadcast explicitly
+            eye = np.broadcast_to(np.eye(z_chol.shape[-1]), z_chol.shape)
+            z_invs.append(_sym(np.linalg.solve(_t(z_chol), np.linalg.solve(z_chol, eye))))
 
         factor = _SchurFactor(cons.schur(ys, z_invs))
         max_shift = max(max_shift, factor.shift)
         eig_iterations += factor.eig is not None
 
         mu = gap / nu
-        hyrz = []
-        for k in range(nblocks):
-            t = ys[k] @ rd[k] @ z_invs[k]
-            hyrz.append(_sym(t))
+        hyrz = [_sym(x @ r @ zi) for x, r, zi in zip(ys, rd, z_invs)]
+        a_hyrz = a_of(hyrz)
 
         # predictor (affine scaling)
-        rhs_aff = b + a_of(hyrz)
-        dy_a = factor.solve(rhs_aff)
-        atdy = at_of(dy_a)
-        dz_a = [rd[k] - atdy[k] for k in range(nblocks)]
-        dy_blocks_a = [-ys[k] - _sym(ys[k] @ dz_a[k] @ z_invs[k]) for k in range(nblocks)]
-        ap = min(1.0, _max_step(dy_blocks_a, y_chols))
-        ad = min(1.0, _max_step(dz_a, z_chols))
-        gap_aff = sum(
-            float(((ys[k] + ap * dy_blocks_a[k]) * (zs[k] + ad * dz_a[k])).sum())
-            for k in range(nblocks)
-        )
+        dy_a = factor.solve(b + a_hyrz)
+        dz_a = [r - t for r, t in zip(rd, at_of(dy_a))]
+        dy_blocks_a = [-x - _sym(x @ dz @ zi) for x, dz, zi in zip(ys, dz_a, z_invs)]
+        ap, ad = _max_steps([np.concatenate(d) for d in zip(dy_blocks_a, dz_a)], chols)
+        ap, ad = min(1.0, ap), min(1.0, ad)
+        gap_aff = sum(block_sums(
+            [(x + ap * dx) * (z + ad * dz) for x, dx, z, dz in zip(ys, dy_blocks_a, zs, dz_a)]
+        ).tolist())
         sigma = (max(gap_aff, 0.0) / gap) ** 3 if gap > 0 else 0.1
         sigma = float(np.clip(sigma, 1e-10, 1.0))
 
         # corrector
-        corr = [_sym(dy_blocks_a[k] @ dz_a[k] @ z_invs[k]) for k in range(nblocks)]
-        rhs_c = b - sigma * mu * a_of(z_invs) + a_of(hyrz) + a_of(corr)
+        corr = [_sym(dx @ dz @ zi) for dx, dz, zi in zip(dy_blocks_a, dz_a, z_invs)]
+        rhs_c = b - sigma * mu * a_of(z_invs) + a_hyrz + a_of(corr)
         dy = factor.solve(rhs_c)
-        atdy = at_of(dy)
-        dz = [rd[k] - atdy[k] for k in range(nblocks)]
+        dz = [r - t for r, t in zip(rd, at_of(dy))]
         dy_blocks = [
-            sigma * mu * z_invs[k] - ys[k] - _sym(ys[k] @ dz[k] @ z_invs[k]) - corr[k]
-            for k in range(nblocks)
+            sigma * mu * zi - x - _sym(x @ d @ zi) - c
+            for zi, x, d, c in zip(z_invs, ys, dz, corr)
         ]
-        ap = min(1.0, _STEP_SCALE * _max_step(dy_blocks, y_chols))
-        ad = min(1.0, _STEP_SCALE * _max_step(dz, z_chols))
+        ap, ad = _max_steps([np.concatenate(d) for d in zip(dy_blocks, dz)], chols)
+        ap, ad = min(1.0, _STEP_SCALE * ap), min(1.0, _STEP_SCALE * ad)
 
-        for k in range(nblocks):
-            ys[k] = _sym(ys[k] + ap * dy_blocks[k])
-            zs[k] = _sym(zs[k] + ad * dz[k])
+        ys = [_sym(x + ap * d) for x, d in zip(ys, dy_blocks)]
+        zs = [_sym(z + ad * d) for z, d in zip(zs, dz)]
         y = y + ad * dy
         # the Schur complement and its inverse factor live for one iteration
         del factor
@@ -485,7 +558,7 @@ def solve(problem, options=None):
     for pos, k in enumerate(keep):
         dual_full[k] = y[pos]
     rel_gap = gap / (1.0 + abs(pobj) + abs(dobj)) if np.isfinite(gap) else np.nan
-    return Solution(ys, dual_full, pobj, dobj, rel_gap, status, iterations + 1,
+    return Solution(cons.unstack(ys), dual_full, pobj, dobj, rel_gap, status, iterations + 1,
                     tuple(fallbacks))
 
 

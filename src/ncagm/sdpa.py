@@ -10,6 +10,7 @@ is the objective.  Problem metadata (m, n, sign, d, ...) is carried in a
 from __future__ import annotations
 
 import io
+import math
 
 from .sdp import SdpProblem
 
@@ -108,9 +109,12 @@ def import_sdpa(source):
 
     def parse_float(text, lineno, what):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise SdpaParseError(f"non-numeric {what}: {text!r}", lineno) from None
+        if not math.isfinite(value):
+            raise SdpaParseError(f"non-finite {what}: {text!r}", lineno)
+        return value
 
     lineno, text = numbered[0]
     tokens = text.translate(_SEPARATORS).split()

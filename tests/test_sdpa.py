@@ -169,3 +169,17 @@ class TestParsing:
         text = "1\n1\n2\n3.0\n1 1 1 3 1.0\n"
         with pytest.raises(SdpaParseError):
             import_sdpa(text)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_rhs_rejected(self, token):
+        text = f"1\n1\n2\n{token}\n1 1 1 1 1.0\n"
+        with pytest.raises(SdpaParseError, match="non-finite right-hand side") as err:
+            import_sdpa(text)
+        assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, token):
+        text = f"1\n1\n2\n3.0\n0 1 1 1 1.0\n1 1 2 2 {token}\n"
+        with pytest.raises(SdpaParseError, match="non-finite value") as err:
+            import_sdpa(text)
+        assert err.value.line_number == 6
