@@ -21,6 +21,7 @@ from .compiler import (
     assemble_sdp,
     localizing_entry,
     monomial_basis,
+    retarget,
     symmetry_reduce,
 )
 from .sdp import (
@@ -57,6 +58,7 @@ __all__ = [
     "assemble_sdp",
     "localizing_entry",
     "monomial_basis",
+    "retarget",
     "symmetry_reduce",
     "FarkasCertificate",
     "SdpProblem",

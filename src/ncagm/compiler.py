@@ -12,7 +12,7 @@ d = m // 2 and beta the monomial basis of degree <= d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 
@@ -120,23 +120,29 @@ def _fold(full_row, unit_word, lam_coeff):
     return {k: v for k, v in entry.items() if v != 0.0}
 
 
-def assemble_sdp(m, n, sign):
-    """Standard-form SDP for the lambda problem (sign -1: lambda_1 problem,
-    sign +1: lambda_2 problem), with d = m // 2."""
+def _check_target(m, n, sign):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+
+
+def _target_rhs(m, n, sign, words):
+    """Right-hand side of the (m, n, sign) problem over ``words``: minus
+    sign times each word's coefficient in the distinct-product sum."""
+    terms = distinct_product_sum(m, n).terms
+    return [-float(sign) * float(terms.get(w, 0)) for w in words]
+
+
+def assemble_sdp(m, n, sign):
+    """Standard-form SDP for the lambda problem (sign -1: lambda_1 problem,
+    sign +1: lambda_2 problem), with d = m // 2."""
+    _check_target(m, n, sign)
     d = m // 2
     basis = monomial_basis(n, d)
     words, rows = _coefficient_rows(n, d, basis)
-    target = distinct_product_sum(m, n)
-
-    constraints = []
-    rhs = []
-    for w, row in zip(words, rows):
-        constraints.append(_fold(row, w, 1.0 if w == () else 0.0))
-        rhs.append(-float(sign) * float(target.coefficient(w)))
+    constraints = [_fold(row, w, 1.0 if w == () else 0.0) for w, row in zip(words, rows)]
+    rhs = _target_rhs(m, n, sign, words)
 
     block_dims = (1,) + (basis.size,) * (n + 1)
     meta = {"m": m, "n": n, "sign": sign, "d": d}
@@ -190,6 +196,11 @@ def _generators(n):
         gens.append(Permutation.transposition(n, 1, 2))
         gens.append(Permutation.cycle(n))
     return gens
+
+
+def _generator_images(n):
+    """The generators of S_n as 0-based image arrays."""
+    return [np.array(g.images) - 1 for g in _generators(n)]
 
 
 def _word_perms(n, degree, sigmas):
@@ -250,7 +261,6 @@ def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, words):
     match exactly; the error names the first word k that fails."""
     lam = len(tperm)
     fold = np.append(tperm, lam)
-    rhs = np.asarray(rhs)
     for wperm, cperm in zip(wperms, cperms):
         image = np.append(cperm, lam)[coord]
         mapped = r * (lam + 1) + np.minimum(image, fold[image])
@@ -258,12 +268,20 @@ def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, words):
         i, j = np.argsort(mapped), np.argsort(target)
         bad = (mapped[i] != target[j]) | (np.abs(v[i] - v[j]) > 1e-12)
         # rows before the first failing one line up in both sorted arrays
-        bad_rows = np.minimum(mapped[i], target[j])[bad] // (lam + 1)
-        bad_rows = np.concatenate([bad_rows, np.flatnonzero(rhs != rhs[wperm])])
-        if len(bad_rows):
-            k = int(bad_rows.min())
-            what = "right-hand side" if rhs[k] != rhs[wperm[k]] else "constraint data"
-            raise InvarianceError(f"{what} not invariant at word {words[k]}")
+        _check_generator(rhs, wperm, words, np.minimum(mapped[i], target[j])[bad] // (lam + 1))
+
+
+def _check_generator(rhs, wperm, words, data_faults=()):
+    """Raise InvarianceError at the first word k that fails under one
+    generator: k is in ``data_faults`` (its constraint row does not map
+    onto row wperm[k]) or its right-hand side differs from wperm[k]'s."""
+    rhs = np.asarray(rhs)
+    bad = np.concatenate([np.asarray(data_faults, dtype=np.intp),
+                          np.flatnonzero(rhs != rhs[wperm])])
+    if len(bad):
+        k = int(bad.min())
+        what = "right-hand side" if rhs[k] != rhs[wperm[k]] else "constraint data"
+        raise InvarianceError(f"{what} not invariant at word {words[k]}")
 
 
 # seed of the generic elements that split the commutant; fixed so that the
@@ -369,7 +387,7 @@ def symmetry_reduce(problem):
     n, d = meta["n"], meta["d"]
     q = monomial_basis(n, d).size
     words = words_up_to(n, 2 * d + 1)
-    sigmas = [np.array(g.images) - 1 for g in _generators(n)]
+    sigmas = _generator_images(n)
     # generators then reversal, which is merged in because the folded rows
     # of a word and its reversal are the same linear functional on
     # symmetric Gram blocks; the basis is the prefix of the words
@@ -433,3 +451,31 @@ def symmetry_reduce(problem):
     block_dims = (1,) + tuple(bas.shape[1] for _, bas in components)
     reduced = SdpProblem(block_dims, constraints, rhs, {(0, 0, 0): 1.0}, red_meta)
     return reduced, orbits
+
+
+def retarget(problem, m, sign):
+    """The (m, n, sign) problem with the same n and degree bound d as
+    ``problem``, which comes from assemble_sdp or symmetry_reduce.
+
+    The target polynomial enters only the right-hand side, so the
+    constraint rows, objective and block dimensions are shared with
+    ``problem``.  The right-hand side is computed over every word as in
+    assemble_sdp and checked for S_n invariance; a reduced problem keeps
+    the entry of each word-orbit representative, as symmetry_reduce does.
+    """
+    meta = problem.meta
+    if "d" not in meta:
+        raise ValueError("retarget needs a problem from assemble_sdp or symmetry_reduce")
+    n, d = meta["n"], meta["d"]
+    _check_target(m, n, sign)
+    if m // 2 != d:
+        raise ValueError(f"m={m} needs degree bound {m // 2}, the problem has d={d}")
+    words = words_up_to(n, 2 * d + 1)
+    rhs = _target_rhs(m, n, sign, words)
+    wperms = _word_perms(n, 2 * d + 1, _generator_images(n))
+    for wperm in wperms[:-1]:
+        _check_generator(rhs, wperm, words)
+    if meta.get("reduced"):
+        _, word_reps = _orbit_labels(wperms, len(words))
+        rhs = [rhs[k] for k in word_reps]
+    return replace(problem, rhs=rhs, meta={**meta, "m": m, "sign": sign})

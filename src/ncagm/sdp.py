@@ -35,6 +35,7 @@ computation bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
@@ -408,6 +409,9 @@ def solve(problem, options=None):
     opts = options or SolverOptions()
     if opts.max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {opts.max_iterations}")
+    # a nan or nonpositive tolerance never meets the stopping test
+    if not 0 < opts.tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {opts.tolerance}")
     dims = problem.block_dims
     nu = sum(dims)
 

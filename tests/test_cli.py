@@ -9,15 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncagm.cli
 from ncagm.cli import (
     EXIT_INVALID_CERTIFICATE,
     EXIT_NO_CERTIFICATE,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_USAGE,
     EXIT_VIOLATION,
     build_parser,
     main,
 )
+
+
+# sha256 of the stdout of `ncagm table --heavy --format json`
+TABLE_HEAVY_JSON_SHA256 = "a8d3acb7ab9bf86133fe06ace0e0724f0186ea8be6c4ba54e1314c724bde138b"
 
 
 def run(argv, capsys):
@@ -59,6 +65,51 @@ class TestTable:
         assert by_key[(1, 3)]["lambda1"] == "3.0000"
         assert by_key[(1, 3)]["lambda2"] == "0.0000"
         assert by_key[(1, 3)]["verdict"] == "ok"
+
+    def test_heavy_json_bytes_pinned(self, capsys):
+        code, stdout, _ = run(["table", "--heavy", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(stdout.encode()).hexdigest() == TABLE_HEAVY_JSON_SHA256
+
+    def test_one_build_per_n_and_degree(self, capsys, monkeypatch):
+        calls = {"assemble_sdp": 0, "symmetry_reduce": 0}
+        for name in calls:
+            original = getattr(ncagm.cli, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(ncagm.cli, name, counted)
+        assert run(["table", "--format", "csv"], capsys)[0] == EXIT_OK
+        assert calls == {"assemble_sdp": 8, "symmetry_reduce": 8}
+        # the ten (n, d) of --heavy, and nothing kept from one run to the next
+        for total in (18, 28):
+            assert run(["table", "--heavy", "--format", "csv"], capsys)[0] == EXIT_OK
+            assert calls == {"assemble_sdp": total, "symmetry_reduce": total}
+
+    def test_failed_build_fails_its_group_only(self, capsys, monkeypatch):
+        original = ncagm.cli.symmetry_reduce
+
+        def failing(problem):
+            if (problem.meta["n"], problem.meta["d"]) == (3, 1):
+                raise RuntimeError("reduction failed")
+            return original(problem)
+
+        monkeypatch.setattr(ncagm.cli, "symmetry_reduce", failing)
+        code, stdout, _ = run(["table", "--format", "json"], capsys)
+        assert code == EXIT_SOLVER
+        records = json.loads(stdout)
+        by_key = {(r["m"], r["n"]): r for r in records}
+        assert len(records) == len(by_key) == 10
+        for key, record in by_key.items():
+            if key in ((2, 3), (3, 3)):
+                assert record["verdict"] == "ERROR"
+                assert record["error"] == "reduction failed"
+                assert "lambda1" not in record
+            else:
+                assert record["verdict"] == "ok"
+        assert by_key[(1, 3)]["lambda1"] == "3.0000"
 
     def test_nonpositive_tol_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,6 @@
-"""SDP assembly: monomial bases, localizing data, structural counts, and
-coefficient-matching completeness against a symbolic re-expansion."""
+"""SDP assembly: monomial bases, localizing data, structural counts,
+coefficient-matching completeness against a symbolic re-expansion, and
+retargeting a built problem to another (m, sign) of the same n and d."""
 
 import random
 
@@ -7,14 +8,19 @@ import numpy as np
 import pytest
 
 from ncagm import (
+    InvarianceError,
     NCPolynomial,
+    SdpProblem,
     assemble_sdp,
     distinct_product_sum,
     localizing_entry,
     monomial_basis,
     poly_transpose,
+    retarget,
+    symmetry_reduce,
 )
 from ncagm.compiler import words_up_to
+from ncagm.sdpa import render_sdpa
 
 
 class TestMonomialBasis:
@@ -219,3 +225,50 @@ class TestCoefficientMatching:
             prob = assemble_sdp(m, n, 1)
             d = m // 2
             assert prob.num_constraints == len(words_up_to(n, 2 * d + 1))
+
+
+# every (n, d) with n <= 5, and the m of that group in table order
+GROUPS = [(n, d, [m for m in range(1, n + 1) if m // 2 == d])
+          for n in range(1, 6) for d in range(n // 2 + 1)]
+
+
+class TestRetarget:
+    @pytest.mark.parametrize("n,d,ms", GROUPS, ids=[f"n{n}-d{d}" for n, d, _ in GROUPS])
+    def test_sdpa_bytes_match_direct_build(self, n, d, ms):
+        # the group's first problem, as the table builds it
+        full = assemble_sdp(ms[0], n, -1)
+        reduced, _ = symmetry_reduce(full)
+        for m in ms:
+            for sign in (1, -1):
+                direct = assemble_sdp(m, n, sign)
+                got = retarget(full, m, sign)
+                assert render_sdpa(got) == render_sdpa(direct)
+                assert got.constraints is full.constraints
+                got = retarget(reduced, m, sign)
+                assert render_sdpa(got) == render_sdpa(symmetry_reduce(direct)[0])
+                assert got.constraints is reduced.constraints
+                assert got.block_dims == reduced.block_dims
+
+    @pytest.mark.parametrize("m,sign", [(4, 1), (1, 1), (3, 1), (2, 0), (2, 2)])
+    def test_bad_target_rejected(self, m, sign):
+        # (2, 2) has d = 1: m = 4 and m = 1 need another d, m = 3 exceeds n
+        problem = assemble_sdp(2, 2, 1)
+        for prob in (problem, symmetry_reduce(problem)[0]):
+            with pytest.raises(ValueError):
+                retarget(prob, m, sign)
+
+    def test_plain_problem_rejected(self):
+        toy = SdpProblem((1,), [{(0, 0, 0): 1.0}], [3.0], {(0, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="assemble_sdp or symmetry_reduce"):
+            retarget(toy, 1, 1)
+
+    def test_asymmetric_target_detected(self, monkeypatch):
+        full = assemble_sdp(2, 3, 1)
+        reduced, _ = symmetry_reduce(full)
+        # X_1 X_2 alone is moved by the transposition (1 2)
+        monkeypatch.setattr("ncagm.compiler.distinct_product_sum",
+                            lambda m, n: NCPolynomial(n, {(1, 2): 1}))
+        for prob in (full, reduced):
+            with pytest.raises(InvarianceError,
+                               match=r"^right-hand side not invariant at word \(1, 2\)$"):
+                retarget(prob, 3, -1)

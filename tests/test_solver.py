@@ -181,6 +181,13 @@ class TestStatuses:
         with pytest.raises(ValueError, match="max_iterations must be at least 1"):
             solve(assemble_sdp(1, 1, 1), SolverOptions(max_iterations=count))
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-8, float("nan"), float("inf"), float("-inf")])
+    def test_tolerance_not_positive_finite_rejected(self, tolerance):
+        # such a tolerance never meets the stopping test, and would end as
+        # numerical_failure instead of a usage error
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            solve(assemble_sdp(1, 1, 1), SolverOptions(tolerance=tolerance))
+
 
 class TestFarkas:
     def test_infeasible_target_2_2(self):
