@@ -1,10 +1,12 @@
 """Exact rational certificate verification and numeric instance checks.
 
-Sum-of-squares certificates are checked with no tolerances at all: PSD-ness
-of the Gram blocks by fraction-free (Bareiss) elimination of the
-denominator-scaled integer matrix, the expansion identity by symbolic
-free-algebra arithmetic over one common denominator.  Farkas certificates
-and explicit matrix instances are rechecked in floating point.
+Sum-of-squares certificates are checked with no tolerances at all.  PSD-ness
+of the Gram blocks is decided by fraction-free (Bareiss) elimination of the
+denominator-scaled integer matrix, once per orbit of blocks: S_n permutes
+the blocks Y_1..Y_n, so a block that equals Y_1 under the basis permutation
+of a letter transposition takes Y_1's verdict.  The expansion identity is
+compared word by word in integers over one common denominator.  Farkas
+certificates and explicit matrix instances are rechecked in floating point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .compiler import monomial_basis
-from .ncpoly import NCPolynomial, distinct_product_sum
+from .ncpoly import distinct_product_sum
 from .sdp import psd_defect_of
 
 
@@ -37,10 +39,11 @@ class RationalMatrix:
         for row in entries:
             if len(row) != dim:
                 raise ValueError("matrix must be square")
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
+        if [list(col) for col in zip(*entries)] != entries:
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    if entries[i][j] != entries[j][i]:
+                        raise ValueError(f"matrix not symmetric at ({i},{j})")
         self.entries = entries
         self.dim = dim
 
@@ -62,6 +65,25 @@ class RationalMatrix:
         return f"RationalMatrix({self.entries!r})"
 
 
+def _distinct_entries(matrices):
+    """Each distinct entry object of the matrices, keyed by id.  The blocks
+    of a certificate share entry objects, so work done per object runs once
+    per value; the map holds the objects, so no id is reused while it lives."""
+    distinct = {}
+    for mat in matrices:
+        for row in mat.entries:
+            distinct.update(zip(map(id, row), row))
+    return distinct
+
+
+def _scaled_entries(matrices):
+    """(scale, scaled): the LCM of the entries' denominators, and each
+    distinct entry times scale as an integer, keyed by the entry's id."""
+    distinct = _distinct_entries(matrices)
+    scale = math.lcm(*{v.denominator for v in distinct.values()})
+    return scale, {k: v.numerator * (scale // v.denominator) for k, v in distinct.items()}
+
+
 def psd_check_exact(mat):
     """Exact PSD decision by fraction-free (Bareiss) symmetric elimination.
 
@@ -74,9 +96,8 @@ def psd_check_exact(mat):
     maximal pivot forces the entire remaining principal block to vanish for
     the matrix to be PSD.
     """
-    rows = mat.entries
-    scale = math.lcm(*{v.denominator for row in rows for v in row})
-    a = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    _, scaled = _scaled_entries([mat])
+    a = [list(map(scaled.__getitem__, map(id, row))) for row in mat.entries]
     prev = 1
     while a:
         p = max(range(len(a)), key=lambda i: a[i][i])
@@ -113,13 +134,14 @@ class SosCertificate:
 
 
 def expand_gram(n, d, gram_blocks):
-    """Symbolic expansion sum_i sum_{a,b} Y_i[a,b] * rev(beta_a) l_i beta_b.
+    """Integer form of sum_i sum_{a,b} Y_i[a,b] * rev(beta_a) l_i beta_b.
 
-    The entries are scaled to integers by one common denominator, the LCM
-    over all blocks, and accumulated per word in integers: an entry s of
-    block i <= n adds s to rev(beta_a) i beta_b, and one of block n+1 adds
-    n*s to rev(beta_a) beta_b and -s to each rev(beta_a) j beta_b.  Each
-    word's coefficient is divided out once at the end.
+    Returns (coeffs, denom): the entries are scaled to integers by one
+    common denominator denom, the LCM over all blocks, and coeffs maps each
+    word to its integer coefficient, so the expansion is coeffs[w] / denom
+    (a word may map to 0 where terms cancel).  With l_i = X_i for i <= n
+    and l_{n+1} = n - X_1 - ... - X_n, the word rev(beta_a) i beta_b gets
+    Y_i[a,b] - Y_{n+1}[a,b] and rev(beta_a) beta_b gets n * Y_{n+1}[a,b].
     """
     basis = monomial_basis(n, d)
     q = basis.size
@@ -130,32 +152,63 @@ def expand_gram(n, d, gram_blocks):
             raise ValueError(
                 f"Gram block {i} has dimension {block.dim}, expected {q}"
             )
-    denom = math.lcm(
-        *{v.denominator for block in gram_blocks for row in block.entries for v in row}
-    )
+    denom, scaled = _scaled_entries(gram_blocks)
+
+    def integer_rows(block):
+        return [list(map(scaled.__getitem__, map(id, row))) for row in block.entries]
+
     words = basis.words
     acc = {}
     get = acc.get
-    for i, block in enumerate(gram_blocks, start=1):
-        for wa, row in zip(words, block.entries):
+    if len(gram_blocks) == n + 1:
+        last = integer_rows(gram_blocks[n])
+        for wa, row in zip(words, last):
             ra = wa[::-1]
-            # (head, multiplier) pairs of rev(beta_a) l_i, each followed by beta_b
-            if i <= n:
-                heads = [(ra + (i,), 1)]
-            else:
-                heads = [(ra, n)] + [(ra + (j,), -1) for j in range(1, n + 1)]
-            for wb, coeff in zip(words, row):
-                if coeff:
-                    s = coeff.numerator * (denom // coeff.denominator)
-                    for head, c in heads:
-                        w = head + wb
-                        acc[w] = get(w, 0) + c * s
-    return NCPolynomial(n, {w: Fraction(v, denom) for w, v in acc.items()})
+            for wb, t in zip(words, row):
+                if t:
+                    w = ra + wb
+                    acc[w] = get(w, 0) + n * t
+    else:
+        last = [[0] * q] * q
+    for i, block in enumerate(gram_blocks[:n], start=1):
+        for wa, row, row_last in zip(words, integer_rows(block), last):
+            head = wa[::-1] + (i,)
+            for wb, s, t in zip(words, row, row_last):
+                if s != t:
+                    w = head + wb
+                    acc[w] = get(w, 0) + s - t
+    return acc, denom
+
+
+def _gram_blocks_psd(n, d, gram_blocks):
+    """True iff every Gram block is exactly PSD, with one Bareiss run per
+    orbit of blocks.
+
+    Swapping letters 1 and i maps rev(beta_a) X_1 beta_b to the word of
+    block i, so in a symmetric certificate block i is block 1 with its
+    basis permuted by that transposition.  A block equal to that
+    permutation congruence P Y_1 P^T takes Y_1's verdict, since congruence
+    by a permutation preserves PSD-ness; any other block, and block n+1,
+    is eliminated on its own.
+    """
+    first = gram_blocks[0]
+    if not psd_check_exact(first):
+        return False
+    basis = monomial_basis(n, d)
+    rows = first.entries
+    for i, block in enumerate(gram_blocks[1:n], start=2):
+        swap = list(range(n + 1))
+        swap[1], swap[i] = i, 1
+        perm = [basis.index(map(swap.__getitem__, w)) for w in basis.words]
+        image = [[row[b] for b in perm] for row in map(rows.__getitem__, perm)]
+        if block.entries != image and not psd_check_exact(block):
+            return False
+    return psd_check_exact(gram_blocks[n])
 
 
 def verify_sos(cert):
     """True iff every Gram block is exactly PSD and the expansion identity
-    holds as an equality of rational noncommutative polynomials."""
+    holds word by word, compared in integers over one common denominator."""
     n, m = cert.n, cert.m
     if cert.sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {cert.sign}")
@@ -168,11 +221,15 @@ def verify_sos(cert):
     for block in cert.gram_blocks:
         if block.dim != q:
             raise ValueError(f"Gram block dimension {block.dim}, expected {q}")
-    if not all(psd_check_exact(block) for block in cert.gram_blocks):
+    if not _gram_blocks_psd(n, d, cert.gram_blocks):
         return False
-    expansion = expand_gram(n, d, cert.gram_blocks)
-    target = NCPolynomial.one(n, Fraction(cert.lam)) + cert.sign * distinct_product_sum(m, n)
-    return expansion == target
+    coeffs, denom = expand_gram(n, d, cert.gram_blocks)
+    target = {w: cert.sign * c for w, c in distinct_product_sum(m, n).terms.items()}
+    target[()] = Fraction(cert.lam)
+    for word, c in target.items():
+        if coeffs.pop(word, 0) * c.denominator != c.numerator * denom:
+            return False
+    return not any(coeffs.values())
 
 
 def build_m2_certificate(n):
@@ -353,13 +410,14 @@ def _frac_str(value):
 
 
 def sos_certificate_to_json(cert):
+    text = {k: _frac_str(v) for k, v in _distinct_entries(cert.gram_blocks).items()}
     return {
         "m": cert.m,
         "n": cert.n,
         "sign": cert.sign,
         "lambda": _frac_str(cert.lam),
         "blocks": [
-            [[_frac_str(v) for v in row] for row in block.entries]
+            [list(map(text.__getitem__, map(id, row))) for row in block.entries]
             for block in cert.gram_blocks
         ],
     }
@@ -373,13 +431,25 @@ def _int_field(data, key):
     return value
 
 
+def _rational_field(value, name):
+    """value if it is a JSON integer or string; Fraction() would read true
+    as 1 and 0.1 as the binary64 value 3602879701896397/2**55."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f'{name} must be an integer or a "p/q" string, got {value!r}')
+    return value
+
+
 def sos_certificate_from_json(data):
+    m, n, sign = (_int_field(data, key) for key in ("m", "n", "sign"))
+    lam = Fraction(_rational_field(data["lambda"], '"lambda"'))
+    blocks = data["blocks"]
+    for i, block in enumerate(blocks):
+        for a, row in enumerate(block):
+            for b, value in enumerate(row):
+                _rational_field(value, f'"blocks"[{i}][{a}][{b}]')
     return SosCertificate(
-        m=_int_field(data, "m"),
-        n=_int_field(data, "n"),
-        sign=_int_field(data, "sign"),
-        lam=Fraction(data["lambda"]),
-        gram_blocks=[RationalMatrix(block) for block in data["blocks"]],
+        m=m, n=n, sign=sign, lam=lam,
+        gram_blocks=[RationalMatrix(block) for block in blocks],
     )
 
 

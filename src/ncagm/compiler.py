@@ -348,16 +348,17 @@ def _split_orbit_matrices(e, bases):
         raise ArithmeticError("isotypic basis is not orthonormal")
     t = qmat.T @ e @ qmat
     blocks = []
-    expected = np.zeros_like(t)
     pos = 0
     for basis in bases:
         _, m, d = basis.shape
         sl = slice(pos, pos + m * d)
         f = np.einsum("kstrt->ksr", t[:, sl, sl].reshape(-1, m, d, m, d)) / d
-        expected[:, sl, sl] = np.kron(f, np.eye(d))
+        # t is left holding its difference from the block form, in place:
+        # a (k, q, q) copy per term is the peak of a (5,5) reduction
+        t[:, sl, sl] -= np.kron(f, np.eye(d))
         blocks.append(f)
         pos += m * d
-    if np.abs(t - expected).max() > 1e-9:
+    if np.abs(t, out=t).max() > 1e-9:
         raise ArithmeticError("orbit matrices are not block diagonal in the isotypic basis")
     if sum(basis.shape[1] * (basis.shape[1] + 1) // 2 for basis in bases) != len(e):
         raise ArithmeticError("isotypic blocks do not span the invariant subspace")

@@ -3,6 +3,7 @@ Farkas re-checking, and numeric instance evaluation."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from ncagm import (
     CertificateError,
+    NCPolynomial,
     RationalMatrix,
     assemble_sdp,
     build_m2_certificate,
@@ -80,6 +82,14 @@ class TestRationalMatrix:
             RationalMatrix([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             RationalMatrix([[1, 2, 3], [2, 1, 0]])
+
+    def test_asymmetry_names_first_pair(self):
+        rows = [[1, 0, 2, 0], [0, 1, 0, 3], [9, 0, 1, 0], [0, 8, 0, 1]]
+        with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+            RationalMatrix(rows)
+        rows[2][0] = 2
+        with pytest.raises(ValueError, match=r"not symmetric at \(1,3\)"):
+            RationalMatrix(rows)
 
     def test_entries_are_fractions(self):
         third = Fraction(1, 3)
@@ -237,6 +247,13 @@ class TestExpandGram:
     """The common-denominator expansion equals the term-by-term rational sum."""
 
     @staticmethod
+    def _expand(n, d, blocks):
+        """expand_gram's (coeffs, denom) as the rational polynomial it encodes."""
+        coeffs, denom = expand_gram(n, d, [RationalMatrix(b) for b in blocks])
+        assert all(type(v) is int for v in coeffs.values())
+        return NCPolynomial(n, {w: Fraction(v, denom) for w, v in coeffs.items()})
+
+    @staticmethod
     def _mixed(rng, value):
         """value as an int, a "p/q" string or a Fraction, chosen at random."""
         kind = rng.randrange(3)
@@ -264,7 +281,7 @@ class TestExpandGram:
             for b in range(a):
                 for block in mixed:
                     block[a][b] = block[b][a]
-        expansion = expand_gram(n, d, [RationalMatrix(b) for b in mixed])
+        expansion = self._expand(n, d, mixed)
         assert expansion == expand_with_gram(n, d, 0, blocks)
 
         # one off-diagonal pair changed breaks the identity
@@ -272,9 +289,7 @@ class TestExpandGram:
         blocks[i][0][1] += Fraction(1, 3)
         blocks[i][1][0] += Fraction(1, 3)
         assert expansion != expand_with_gram(n, d, 0, blocks)
-        assert expand_gram(n, d, [RationalMatrix(b) for b in blocks]) == expand_with_gram(
-            n, d, 0, blocks
-        )
+        assert self._expand(n, d, blocks) == expand_with_gram(n, d, 0, blocks)
 
     def test_too_many_blocks_rejected(self):
         with pytest.raises(ValueError, match="at most 3 Gram blocks"):
@@ -367,12 +382,115 @@ class TestSosCertificates:
         with pytest.raises(ValueError):
             build_m2_certificate(1)
 
+    @pytest.mark.parametrize("path,value", [
+        ((0, 1, 2), True), ((3, 0, 0), 0.1), ((1, 2, 2), 2.0), ((2, 0, 3), None),
+        ("lambda", 1.5), ("lambda", True), ("lambda", [1, 2]),
+    ])
+    def test_inexact_json_value_rejected(self, path, value):
+        # Fraction() reads true as 1 and 0.1 as 3602879701896397/36028797018963968,
+        # and fails on null or a list with a TypeError
+        data = sos_certificate_to_json(build_m2_certificate(3))
+        if path == "lambda":
+            data["lambda"] = value
+            name = '"lambda"'
+        else:
+            i, a, b = path
+            data["blocks"][i][a][b] = value
+            name = f'"blocks"[{i}][{a}][{b}]'
+        with pytest.raises(ValueError, match=re.escape(name) + " must be an integer"):
+            sos_certificate_from_json(data)
+
     def test_json_round_trip(self):
         cert = build_m2_certificate(4)
         back = sos_certificate_from_json(sos_certificate_to_json(cert))
         assert back.lam == cert.lam
         assert back.gram_blocks == cert.gram_blocks
         assert verify_sos(back)
+
+
+def _transposed(block, n, i):
+    """block with its basis (1, X_1, ..., X_n) permuted by swapping 1 and i."""
+    perm = list(range(n + 1))
+    perm[1], perm[i] = i, 1
+    return RationalMatrix([[block[a, b] for b in perm] for a in perm])
+
+
+class TestOrbitCheck:
+    """verify_sos runs one Bareiss elimination per orbit of Gram blocks."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Record the verdict of every psd_check_exact call verify_sos makes."""
+        import ncagm.certify as certify_module
+
+        verdicts = []
+        check = certify_module.psd_check_exact
+
+        def counting(mat):
+            verdicts.append(check(mat))
+            return verdicts[-1]
+
+        monkeypatch.setattr(certify_module, "psd_check_exact", counting)
+        return verdicts
+
+    def test_copies_of_non_psd_block_fail(self):
+        n = 4
+        cert = build_m2_certificate(n)
+        rows = [row[:] for row in cert.gram_blocks[0].entries]
+        rows[1][1] = Fraction(-1)
+        first = RationalMatrix(rows)
+        assert not psd_check_exact(first)
+        blocks = [first] + [_transposed(first, n, i) for i in range(2, n + 1)]
+        bad = SosCertificate(m=2, n=n, sign=1, lam=cert.lam,
+                             gram_blocks=blocks + cert.gram_blocks[n:])
+        assert not verify_sos(bad)
+
+    def test_non_copy_block_is_eliminated(self, monkeypatch):
+        # moving delta between Y_2[0,3] and Y_3[2,0] (and their mirrors)
+        # keeps every word's coefficient, so only the PSD check can fail
+        n, delta = 4, Fraction(100)
+        cert = build_m2_certificate(n)
+        y2 = [row[:] for row in cert.gram_blocks[1].entries]
+        y3 = [row[:] for row in cert.gram_blocks[2].entries]
+        y2[0][3] += delta
+        y2[3][0] += delta
+        y3[2][0] -= delta
+        y3[0][2] -= delta
+        blocks = list(cert.gram_blocks)
+        blocks[1:3] = [RationalMatrix(y2), RationalMatrix(y3)]
+        assert expand_gram(n, 1, blocks) == expand_gram(n, 1, cert.gram_blocks)
+        bad = SosCertificate(m=2, n=n, sign=1, lam=cert.lam, gram_blocks=blocks)
+        verdicts = self.counted(monkeypatch)
+        assert not verify_sos(bad)
+        assert verdicts == [True, False]
+
+    def test_two_eliminations_for_m2_family(self, monkeypatch):
+        verdicts = self.counted(monkeypatch)
+        for n in range(2, 21):
+            verdicts.clear()
+            assert verify_sos(build_m2_certificate(n))
+            assert verdicts == [True, True]
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_one_elimination_per_block_without_copies(self, n, monkeypatch):
+        rng = random.Random(n)
+        blocks = [gram_product([[rng.randint(-3, 3) for _ in range(n + 1)]
+                                for _ in range(n + 1)]) for _ in range(n + 1)]
+        cert = SosCertificate(m=2, n=n, sign=1, lam=Fraction(n * (n - 1), 4),
+                              gram_blocks=blocks)
+        verdicts = self.counted(monkeypatch)
+        verify_sos(cert)
+        assert verdicts == [True] * (n + 1)
+
+    def test_round_trip_shares_no_entries(self, monkeypatch):
+        verdicts = self.counted(monkeypatch)
+        for n in (3, 8):
+            back = sos_certificate_from_json(sos_certificate_to_json(build_m2_certificate(n)))
+            entries = [v for block in back.gram_blocks for row in block.entries for v in row]
+            assert len({id(v) for v in entries}) == len(entries)
+            verdicts.clear()
+            assert verify_sos(back)
+            assert verdicts == [True, True]
 
 
 class TestFarkasCheck:

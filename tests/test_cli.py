@@ -307,6 +307,66 @@ class TestCertifySosM2:
         assert verify_sos(sos_certificate_from_json(report))
 
 
+class TestWriteJson:
+    """The streaming writer's file equals json.dumps(payload, indent=2)."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Route _write_json through a recorder of (path, payload) pairs."""
+        written = []
+        write = ncagm.cli._write_json
+
+        def record(path, payload):
+            written.append((path, payload))
+            write(path, payload)
+
+        monkeypatch.setattr(ncagm.cli, "_write_json", record)
+        return written
+
+    @staticmethod
+    def assert_same_bytes(written):
+        assert written
+        for path, payload in written:
+            assert Path(path).read_text() == json.dumps(payload, indent=2)
+
+    def test_sos_m2(self, capsys, monkeypatch, tmp_path):
+        written = self.recorded(monkeypatch)
+        for n in range(2, 21):
+            out = tmp_path / f"sos-{n}.json"
+            assert run(["certify", "sos-m2", "--n", str(n), "--out", str(out)], capsys)[0] == EXIT_OK
+        assert len(written) == 19
+        self.assert_same_bytes(written)
+
+    def test_farkas_and_solve(self, capsys, monkeypatch, tmp_path):
+        written = self.recorded(monkeypatch)
+        out = tmp_path / "farkas.json"
+        argv = ["certify", "farkas", "--m", "2", "--n", "2", "--lambda", "0.4", "--out", str(out)]
+        assert run(argv, capsys)[0] == EXIT_OK
+        base = tmp_path / "solve"
+        assert run(["solve", "--m", "2", "--n", "3", "--out", str(base)], capsys)[0] == EXIT_OK
+        assert len(written) == 2
+        self.assert_same_bytes(written)
+
+    def test_check_instance(self, capsys, monkeypatch, tmp_path):
+        written = self.recorded(monkeypatch)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": 2, "m": 1, "matrices": [[1, 0, 0, 0], [0, 0, 0, 1]]}))
+        out = tmp_path / "report.json"
+        code, _, _ = run(["certify", "check-instance", str(path), "--out", str(out)], capsys)
+        assert code == EXIT_OK
+        (_, payload), = written
+        assert payload["violations"] == [] and payload["improved_bounds"] == {}
+        self.assert_same_bytes(written)
+        # the same shape with non-ASCII text, nested empties, other scalars
+        # and lists long enough to be written in several pieces
+        payload.update({"violations": ["upper Loewner bound \u2264 n\u00b7m"],
+                        "r\u00e9sum\u00e9": {"a": [[], {}, [1, 2.5, None, True]]},
+                        "dual": [repr(k / 7) for k in range(600)],
+                        "counts": [[k, -k / 3] for k in range(300)] + list(range(300))})
+        ncagm.cli._write_json(str(out), payload)
+        self.assert_same_bytes([(out, payload)])
+
+
 class TestCheckInstance:
     def write_instance(self, tmp_path, matrices, m):
         flat = [list(np.asarray(a, float).ravel()) for a in matrices]
