@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from itertools import combinations, permutations, product, zip_longest
 
 import numpy as np
 
@@ -162,10 +162,9 @@ class SymmetryOrbits:
     representatives[o] is the smallest coordinate of orbit o, with a <= b.
     word_orbit[k] is the word orbit of full constraint row k, which is also
     the index of that orbit's row in the reduced problem.  components[j] is
-    (i, basis) for reduced block j + 1: the full Gram block i (1 or n+1)
-    that it comes from and the (q, m, d) array of orthonormal columns
-    q_{s,t}.  The reduced block is B = sum_t basis[:, :, t]^T Y_i basis[:, :, t],
-    and Y_i = sum_t basis[:, :, t] (B / d) basis[:, :, t]^T.
+    (i, U) for reduced block j + 1: the full Gram block i (1 or n+1) that it
+    comes from and the integer Young-symmetrizer basis U, one column per
+    copy of its shape, so that the reduced block is B = U^T Y_i U.
     """
 
     representatives: tuple
@@ -180,10 +179,10 @@ class SymmetryOrbits:
         """Full-problem dual from a reduced one: each word row gets its
         orbit's multiplier divided by the orbit size.
 
-        In the isotypic basis the lifted slack of Y_{n+1} is (+) Z_i (x) I_d
-        over the reduced slack blocks Z_i of its components, and that of
-        each letter block is 1/n times the same form over its own, so the
-        lifted slack is PSD whenever the reduced one is.  b'y is unchanged.
+        The lifted slack S is invariant.  For every invariant Y >= 0 it
+        satisfies <S, Y> = <Z, B> >= 0, with Z the reduced slack and B the
+        reduced blocks of Y, and averaging over the group extends this to
+        every Y >= 0, so S is PSD whenever Z is.  b'y is unchanged.
         """
         orbit = np.asarray(self.word_orbit, dtype=np.intp)
         sizes = np.bincount(orbit)
@@ -284,85 +283,76 @@ def _check_generator(rhs, wperm, words, data_faults=()):
         raise InvarianceError(f"{what} not invariant at word {words[k]}")
 
 
-# seed of the generic elements that split the commutant; fixed so that the
-# reduced problem, its SDPA export and its solution are reproducible
-_GENERIC_SEED = 2004
+def _partitions(k, most):
+    """Partitions of k into parts of at most ``most``, in decreasing
+    lexicographic order."""
+    if k == 0:
+        yield ()
+    for first in range(min(k, most), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
 
 
-def _eigh(sym):
-    """Ascending eigenvalues and orthonormal eigenvectors of a symmetric
-    matrix, from the SVD of the positive definite shift sym + c*I.  On a
-    2-vCPU host with OpenBLAS 0.3.31 on two threads, numpy's eigh took
-    15 ms on 31 x 31 (sizes 26 to about 60 are affected) and svd 0.4 ms."""
-    c = 1.0 + float(np.abs(sym).sum(axis=1).max())
-    u, s, _ = np.linalg.svd(sym + c * np.eye(len(sym)))
-    return s[::-1] - c, u[:, ::-1]
+def _image(n, src, dst):
+    """0-based image array of the permutation of 1..n that maps the letters
+    ``src`` to ``dst`` and fixes the others."""
+    image = np.arange(n)
+    image[np.array(src, dtype=int) - 1] = np.array(dst, dtype=int) - 1
+    return image
 
 
-def _isotypic_bases(e):
-    """Orthonormal bases that split the matrix *-algebra generated by the
-    symmetric matrices ``e`` into its isotypic components.
+def _independent_columns(mat):
+    """Indices of the columns of the integer matrix ``mat`` that are not
+    combinations of earlier ones.  Decided exactly by fraction-free
+    elimination, which raises ArithmeticError before an entry reaches 2**31,
+    so that no product overflows int64."""
+    reduced, keep = [], []
+    for k, v in enumerate(np.asarray(mat, dtype=np.int64).T):
+        for pivot, row in reduced:
+            if v[pivot]:
+                v = v * row[pivot] - v[pivot] * row
+                v //= max(1, int(np.gcd.reduce(v)))
+                if np.abs(v).max() >= 1 << 31:
+                    raise ArithmeticError("integer elimination outgrew int64")
+        nonzero = np.flatnonzero(v)
+        if len(nonzero):
+            reduced.append((nonzero[0], v))
+            keep.append(k)
+    return keep
 
-    One generic element A of the algebra has one eigenspace per (component,
-    multiplicity index), all of that component's dimension d.  A second
-    generic element B couples each eigenspace to those of its own component
-    and to no others, and its compressions between them are nonzero
-    multiples of isometries.  Taking the polar factor of each compression to
-    a component's first eigenspace aligns the bases, so that every element
-    X of the algebra satisfies  Q^T X Q = (+) X_i (x) I_{d_i}.  Returns one
-    (q, m, d) array per component, largest multiplicity m first.
+
+def _young_bases(n, d, letters):
+    """Integer bases U_lambda of the images of the Young symmetrizers
+    b_T a_T on the words of degree <= d, for the symmetric group on
+    ``letters`` (1-based; the other letters are fixed).
+
+    One basis per shape lambda with at most d boxes below the first row (no
+    other shape occurs), in decreasing lexicographic order; T holds the
+    letters row by row.  The images of the row group's orbit sums under
+    b_T = sum_c sgn(c) c over the column group span the symmetrizer's
+    image, and U_lambda keeps the first independent ones.  An invariant Y
+    is PSD iff every U^T Y U is.
     """
-    rng = np.random.default_rng(_GENERIC_SEED)
-    a = np.tensordot(rng.standard_normal(len(e)), e, axes=1)
-    b = np.tensordot(rng.standard_normal(len(e)), e, axes=1)
-    w, v = _eigh(a)
-    cuts = np.flatnonzero(np.diff(w) > 1e-8 * max(1.0, float(np.abs(w).max()))) + 1
-    spaces = np.split(v, cuts, axis=1)
-    tol = 1e-8 * max(1.0, float(np.abs(b).max()))
+    q = len(words_up_to(n, d))
+    k = len(letters)
     bases = []
-    while spaces:
-        root, rest, aligned = spaces[0], [], []
-        for space in spaces:
-            coupling = space.T @ b @ root
-            if np.abs(coupling).max() <= tol:
-                rest.append(space)
-                continue
-            if space.shape != root.shape:
-                raise ArithmeticError("coupled eigenspaces differ in dimension")
-            u, _, vt = np.linalg.svd(coupling)
-            aligned.append(space @ (u @ vt))
-        bases.append(np.stack(aligned, axis=1))
-        spaces = rest
-    return sorted(bases, key=lambda basis: -basis.shape[1])
-
-
-def _split_orbit_matrices(e, bases):
-    """Per component, the m x m blocks F_o with Q^T E_o Q = (+) F_o (x) I_d.
-
-    Raises ArithmeticError unless Q is orthonormal, every E_o maps to that
-    form to 1e-9, and the components' sum of m(m+1)/2 equals the number of
-    E_o, so that the blocks cover the whole invariant subspace."""
-    q = e.shape[1]
-    qmat = np.concatenate([basis.reshape(q, -1) for basis in bases], axis=1)
-    if qmat.shape != (q, q) or np.abs(qmat.T @ qmat - np.eye(q)).max() > 1e-9:
-        raise ArithmeticError("isotypic basis is not orthonormal")
-    t = qmat.T @ e @ qmat
-    blocks = []
-    pos = 0
-    for basis in bases:
-        _, m, d = basis.shape
-        sl = slice(pos, pos + m * d)
-        f = np.einsum("kstrt->ksr", t[:, sl, sl].reshape(-1, m, d, m, d)) / d
-        # t is left holding its difference from the block form, in place:
-        # a (k, q, q) copy per term is the peak of a (5,5) reduction
-        t[:, sl, sl] -= np.kron(f, np.eye(d))
-        blocks.append(f)
-        pos += m * d
-    if np.abs(t, out=t).max() > 1e-9:
-        raise ArithmeticError("orbit matrices are not block diagonal in the isotypic basis")
-    if sum(basis.shape[1] * (basis.shape[1] + 1) // 2 for basis in bases) != len(e):
-        raise ArithmeticError("isotypic blocks do not span the invariant subspace")
-    return blocks
+    for shape in (s for s in _partitions(k, k) if k - sum(s[:1]) <= d):
+        rows = [letters[sum(shape[:i]):sum(shape[:i + 1])] for i in range(len(shape))]
+        # a transposition and a cycle generate the symmetric group of a row
+        gens = [_image(n, cyc, np.roll(cyc, -1)) for row in rows if len(row) > 1
+                for cyc in (row[:2], row)]
+        labels, _ = _orbit_labels(_word_perms(n, d, gens)[:-1], q)
+        columns = [tuple(filter(None, col)) for col in zip_longest(*rows)]
+        group = [_image(n, sum(columns, ()), sum(choice, ()))
+                 for choice in product(*map(permutations, columns))]
+        images = np.zeros((q, labels.max() + 1), dtype=np.int64)
+        for image, perm in zip(group, _word_perms(n, d, group)):
+            sign = (-1) ** sum(x > y for x, y in combinations(image, 2))
+            images[np.arange(q), labels[perm]] += sign
+        keep = _independent_columns(images)
+        if keep:
+            bases.append(images[:, keep])
+    return bases
 
 
 def symmetry_reduce(problem):
@@ -371,13 +361,15 @@ def symmetry_reduce(problem):
 
     In an invariant solution Y_2..Y_n are permutation-similar copies of
     Y_1, which is invariant under the stabilizer of letter 1, and Y_{n+1}
-    is invariant under S_n.  Each of the two is a combination of its
-    coordinate-orbit matrices E_o; an orthonormal change of basis brings it
-    to (+) B_i (x) I_{d_i} (Gatermann-Parrilo; found numerically as in
-    Murota-Kanno-Kojima-Kojima), and the reduced variables are lambda and
-    the blocks d_i B_i.  One constraint row is kept per word orbit, in
-    orbit order, with the row's weight on each coordinate orbit projected
-    onto every block.  The optimal value is unchanged.
+    is invariant under S_n.  Each of the two is sum_o y_o E_o over its
+    coordinate-orbit matrices E_o.  Its reduced blocks are
+    B_lambda = U_lambda^T Y U_lambda over the integer Young-symmetrizer
+    bases U_lambda of its group (Gatermann-Parrilo), and Y is PSD iff every
+    B_lambda is.  The map L from the orbit values y_o to the blocks'
+    upper-triangle entries is square and nonsingular, and is checked to be
+    so exactly.  One constraint row is kept per word orbit, in orbit order;
+    its weights on the y_o become weights on the block entries through L.
+    The optimal value is unchanged.
     """
     meta = problem.meta
     if meta.get("reduced"):
@@ -417,29 +409,36 @@ def symmetry_reduce(problem):
     scalar = on_rep & (blk == 0)
     lam = np.bincount(word_orbit[row[scalar]], weights=val[scalar], minlength=len(word_reps))
 
-    # reduced block j + 1 holds B = sum_t Q_t^T Y Q_t over the d aligned
-    # copies Q_t of its component, so that <E_o, Y> = <F_o, B> with no
-    # factor d; rows of d*F_o instead left the reduced optima up to ten
-    # times less accurate
     components = []
-    row_blocks = []
+    coefs = []
     grid = coord_orbit.reshape(n + 1, q, q)
-    for block in (1, n + 1):
+    for block, letters in ((1, range(2, n + 1)), (n + 1, range(1, n + 1))):
         oids = np.flatnonzero(reps // (q * q) == block - 1)
-        e = (grid[block - 1] == oids[:, None, None]).astype(float)
-        bases = _isotypic_bases(e)
-        # on an invariant Y, y_o = <E_o, Y> / <E_o, E_o>
-        per_orbit = weight[:, oids] / np.einsum("kab,kab->k", e, e)
-        for bas, f in zip(bases, _split_orbit_matrices(e, bases)):
-            components.append((block, bas))
-            row_blocks.append(np.tensordot(per_orbit, f, axes=1))
+        loc = np.searchsorted(oids, grid[block - 1])
+        # lmap maps the orbit values y_o of an invariant Y to the entries beta
+        # of its blocks U^T Y U: column o holds the upper triangles of U^T E_o U
+        lmap = []
+        for u in _young_bases(n, d, letters):
+            eu = np.zeros((len(oids), q, u.shape[1]), dtype=np.int64)  # E_o U
+            np.add.at(eu, (loc, np.arange(q)[:, None]), u)
+            iu, ju = np.triu_indices(u.shape[1])
+            lmap.extend(np.einsum("ai,oaj->oij", u, eu)[:, iu, ju].T)
+            components.append((block, u))
+        if len(lmap) != len(oids) or len(_independent_columns(lmap)) < len(oids):
+            raise ArithmeticError("Young blocks do not span the invariant Gram block")
+        # row r reads weight[r] . y = weight[r] . lmap^-1 beta
+        coefs.append(np.linalg.solve(np.array(lmap, dtype=float).T, weight[:, oids].T).T)
+    coef = np.concatenate(coefs, axis=1)
 
-    # entries that the projection leaves at rounding level are zeros
-    tiny = 1e-12 * max(1.0, max(float(np.abs(c).max()) for c in row_blocks))
+    # entries that the solve leaves at rounding level are zeros
+    tiny = 1e-12 * max(1.0, float(np.abs(coef).max()))
     constraints = [{(0, 0, 0): float(v)} if v else {} for v in lam]
-    for j, c in enumerate(row_blocks, start=1):
-        iu, ju = np.triu_indices(c.shape[1])
-        vals = c[:, iu, ju]
+    pos = 0
+    for j, (_, u) in enumerate(components, start=1):
+        iu, ju = np.triu_indices(u.shape[1])
+        # an off-diagonal entry is stored once for both mirrors
+        vals = coef[:, pos:pos + len(iu)] * np.where(iu == ju, 1.0, 0.5)
+        pos += len(iu)
         for r, t in zip(*np.nonzero(np.abs(vals) > tiny)):
             constraints[r][(j, int(iu[t]), int(ju[t]))] = float(vals[r, t])
     rhs = [problem.rhs[k] for k in word_reps]

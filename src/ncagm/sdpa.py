@@ -116,11 +116,15 @@ def import_sdpa(source):
             raise SdpaParseError(f"non-finite {what}: {text!r}", lineno)
         return value
 
-    lineno, text = numbered[0]
-    tokens = text.translate(_SEPARATORS).split()
-    num_constraints = parse_int(tokens[0], lineno, "constraint count")
-    lineno, text = numbered[1]
-    num_blocks = parse_int(text.translate(_SEPARATORS).split()[0], lineno, "block count")
+    def parse_count(index, what):
+        lineno, text = numbered[index]
+        tokens = text.translate(_SEPARATORS).split()
+        if not tokens:
+            raise SdpaParseError(f"missing {what}", lineno)
+        return parse_int(tokens[0], lineno, what)
+
+    num_constraints = parse_count(0, "constraint count")
+    num_blocks = parse_count(1, "block count")
 
     lineno, text = numbered[2]
     tokens = text.translate(_SEPARATORS).split()
@@ -130,6 +134,8 @@ def import_sdpa(source):
         )
     # a negated trailing entry denotes a diagonal block of that size
     block_dims = tuple(abs(parse_int(t, lineno, "block dimension")) for t in tokens)
+    if 0 in block_dims:
+        raise SdpaParseError("block dimension 0", lineno)
 
     lineno, text = numbered[3]
     tokens = text.translate(_SEPARATORS).split()

@@ -23,7 +23,7 @@ from ncagm.cli import (
 
 
 # sha256 of the stdout of `ncagm table --heavy --format json`
-TABLE_HEAVY_JSON_SHA256 = "a8d3acb7ab9bf86133fe06ace0e0724f0186ea8be6c4ba54e1314c724bde138b"
+TABLE_HEAVY_JSON_SHA256 = "6fc3e700e7622eeb331346b2181610a795a613065c5f5ad6c04c18eee9246beb"
 
 
 def run(argv, capsys):

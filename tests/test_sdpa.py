@@ -154,6 +154,16 @@ class TestParsing:
         with pytest.raises(SdpaParseError):
             import_sdpa("1\n1\n")
 
+    @pytest.mark.parametrize("text,line,what", [
+        ("{}\n1\n1\n1.0\n", 1, "missing constraint count"),
+        ("1\n()\n1\n1.0\n", 2, "missing block count"),
+        ("1\n1\n0\n1.0\n", 3, "block dimension 0"),
+    ])
+    def test_empty_header_field(self, text, line, what):
+        with pytest.raises(SdpaParseError, match=what) as err:
+            import_sdpa(text)
+        assert err.value.line_number == line
+
     def test_wrong_rhs_count(self):
         text = "2\n1\n2\n3.0\n1 1 1 1 1.0\n"
         with pytest.raises(SdpaParseError) as err:

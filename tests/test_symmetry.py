@@ -2,6 +2,7 @@
 checking, and agreement of reduced and unreduced optima."""
 
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ from ncagm import (
     solve,
     symmetry_reduce,
 )
+from ncagm import compiler
 from ncagm.compiler import (
     _coordinate_perms,
     _generators,
-    _isotypic_bases,
     _orbit_labels,
-    _split_orbit_matrices,
     _word_perms,
+    _young_bases,
     words_up_to,
 )
 from ncagm.sdp import farkas_from_dual
@@ -165,57 +166,66 @@ class TestReducedProblem:
             symmetry_reduce(toy)
 
 
-def gram_orbit_matrices(n, d, block):
-    """The 0/1 matrices E_o of the coordinate orbits of one Gram block,
-    from the brute-force reference."""
-    _, coord_orbit, reps = reference_orbits(n, d)
-    q = len(monomial_basis(n, d).words)
-    mats = []
-    for oid, rep in enumerate(reps):
-        if rep[0] != block:
-            continue
-        e = np.zeros((q, q))
-        for (blk, a, b), member in coord_orbit.items():
-            if blk == block and member == oid:
-                e[a, b] = 1.0
-        mats.append(e)
-    return np.array(mats)
+def shapes(k, d):
+    """Partitions of k with at most d boxes below the first row, in
+    decreasing lexicographic order, by brute force."""
+    parts = {tuple(sorted(c, reverse=True)) for r in range(k + 1)
+             for c in product(range(1, k + 1), repeat=r) if sum(c) == k}
+    return sorted((p for p in parts if k - sum(p[:1]) <= d), reverse=True)
+
+
+def specht_dimension(shape):
+    """f^shape, the dimension of the Specht module, by the hook-length
+    formula."""
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            leg = sum(1 for below in shape[i + 1:] if below > j)
+            hooks *= (part - j - 1) + leg + 1
+    return factorial(sum(shape)) // hooks
+
+
+def negative_count(mat):
+    eigs = np.linalg.eigvalsh(mat)
+    return int((eigs < -1e-9 * max(1.0, np.abs(eigs).max())).sum())
 
 
 class TestIsotypicDecomposition:
-    @pytest.mark.parametrize("m,n", [(2, 3), (4, 4), (5, 5)])
-    def test_orbit_matrices_block_diagonal(self, m, n):
-        _, orbits = symmetry_reduce(assemble_sdp(m, n, 1))
-        for block in (1, n + 1):
-            bases = [basis for blk, basis in orbits.components if blk == block]
-            e = gram_orbit_matrices(n, m // 2, block)
-            q = e.shape[1]
-            qmat = np.concatenate([basis.reshape(q, -1) for basis in bases], axis=1)
-            assert qmat.shape == (q, q)
-            assert np.abs(qmat.T @ qmat - np.eye(q)).max() <= 1e-9
-            t = qmat.T @ e @ qmat
-            pos = 0
-            for basis in bases:
-                _, mult, dim = basis.shape
-                sl = slice(pos, pos + mult * dim)
-                diag = t[:, sl, sl].reshape(len(e), mult, dim, mult, dim)
-                form = np.einsum("ksr,tu->kstru", diag[:, :, 0, :, 0], np.eye(dim))
-                assert np.abs(diag - form).max() <= 1e-9
-                t[:, sl, sl] = 0.0
-                pos += mult * dim
-            assert np.abs(t).max() <= 1e-9
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 6) for d in range(3)])
+    def test_inertia_matches_blocks(self, n, d):
+        # an invariant Y has as many negative eigenvalues as the blocks
+        # U^T Y U counted f^lambda times each: every shape occurs at n <= 5
+        _, coord_orbit, reps = reference_orbits(n, d)
+        q = len(monomial_basis(n, d).words)
+        rng = np.random.default_rng(10 * n + d)
+        values = rng.standard_normal(len(reps))
+        for block, letters in ((1, range(2, n + 1)), (n + 1, range(1, n + 1))):
+            y = np.array([[values[coord_orbit[(block, a, b)]] for b in range(q)]
+                          for a in range(q)])
+            bases = _young_bases(n, d, list(letters))
+            expected = shapes(len(letters), d)
+            assert len(bases) == len(expected)
+            assert all(np.issubdtype(u.dtype, np.integer) for u in bases)
+            dims = [specht_dimension(shape) for shape in expected]
+            assert sum(f * u.shape[1] for f, u in zip(dims, bases)) == q
+            assert negative_count(y) == sum(
+                f * negative_count(u.T @ y @ u) for f, u in zip(dims, bases))
 
-    def test_misaligned_copies_rejected(self):
-        e = gram_orbit_matrices(4, 2, 1)
-        bases = _isotypic_bases(e)
-        assert [b.shape[1:] for b in bases] == [(8, 1), (6, 2), (1, 1)]
-        _split_orbit_matrices(e, bases)
-        bad = [b.copy() for b in bases]
-        bad[1][:, 0, :] = bad[1][:, 0, ::-1]  # still orthonormal
-        with pytest.raises(ArithmeticError):
-            _split_orbit_matrices(e, bad)
-        with pytest.raises(ArithmeticError):
-            _split_orbit_matrices(e, bases[:2])
+    @pytest.mark.parametrize("tamper", ["drop", "repeat"])
+    def test_wrong_bases_rejected(self, monkeypatch, tamper):
+        # a missing shape leaves the orbit-to-block map non-square, and a
+        # basis with a repeated column leaves it singular
+        real = compiler._young_bases
+
+        def young_bases(n, d, letters):
+            bases = real(n, d, letters)
+            if tamper == "drop":
+                return bases[:-1]
+            return [bases[0][:, [0] * bases[0].shape[1]]] + bases[1:]
+
+        monkeypatch.setattr(compiler, "_young_bases", young_bases)
+        with pytest.raises(ArithmeticError, match="do not span"):
+            symmetry_reduce(assemble_sdp(2, 3, 1))
 
     def test_export_is_reproducible(self):
         first = render_sdpa(symmetry_reduce(assemble_sdp(4, 4, 1))[0])
@@ -226,18 +236,8 @@ class TestIsotypicDecomposition:
 class TestOptimumPreserved:
     @pytest.mark.parametrize(
         "m,n,sign",
-        [
-            (2, 2, 1),
-            (2, 2, -1),
-            (2, 3, 1),
-            (2, 3, -1),
-            (3, 3, 1),
-            (3, 3, -1),
-            (2, 4, 1),
-            (1, 3, -1),
-            (4, 4, 1),
-            (4, 4, -1),
-        ],
+        [(m, n, sign) for n in range(1, 5) for m in range(1, n + 1) for sign in (1, -1)]
+        + [(5, 5, 1)],
     )
     def test_reduced_matches_unreduced(self, m, n, sign):
         prob = assemble_sdp(m, n, sign)
