@@ -477,8 +477,14 @@ def load_instance(source):
         raise ValueError('instance must be a JSON object with keys "n", "m" and "matrices"')
     n = _int_field(data, "n")
     m = _int_field(data, "m")
+    if not isinstance(data["matrices"], list):
+        raise ValueError('"matrices" must be a list')
     matrices = []
-    for flat in data["matrices"]:
+    for k, flat in enumerate(data["matrices"]):
+        # float() would read "1" and true as numbers, and a string as digits
+        if not isinstance(flat, list) or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in flat):
+            raise ValueError(f'"matrices"[{k}] must be a list of numbers')
         flat = [float(v) for v in flat]
         dim = math.isqrt(len(flat))
         if dim * dim != len(flat):

@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from itertools import groupby
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import certify as certify_mod
 from .compiler import assemble_sdp, retarget, symmetry_reduce
@@ -42,58 +41,9 @@ def _build_problem(m, n, sign, args):
     return problem
 
 
-# a list of scalars is joined this many items at a time, so that a long one
-# (the 3906 multipliers of a (5,5) Farkas ray) never sits in memory as text
-_ITEMS_PER_PIECE = 256
-
-
-def _scalars(items):
-    """True iff no item is a list, tuple or dict."""
-    types = set(map(type, items))
-    return types == {str} or not any(issubclass(t, (list, tuple, dict)) for t in types)
-
-
-def _join_scalars(items, sep):
-    """The JSON texts of ``items``, none a container, joined by ``sep``: in
-    one step, through json's C encoder, not item by item."""
-    if set(map(type, items)) == {str}:
-        return sep.join(map(_encode_str, items))
-    return json.dumps(items, separators=(sep, ": "))[1:-1]
-
-
-def _json_chunks(value, indent):
-    """The text of json.dumps(value, indent=2) in pieces, for a value nested
-    at depth ``indent`` (in spaces).  json.dump itself runs its pure-Python
-    encoder item by item once indent is set; here every list of scalars is
-    joined _ITEMS_PER_PIECE items at a time."""
-    inner = "\n" + " " * (indent + 2)
-    if isinstance(value, dict) and value:
-        # _encode_str raises TypeError on a key that is not a str
-        items = [(_encode_str(key) + ": ", item) for key, item in value.items()]
-        opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple)) and value:
-        if _scalars(value):
-            for start in range(0, len(value), _ITEMS_PER_PIECE):
-                piece = value[start:start + _ITEMS_PER_PIECE]
-                yield ("[" if start == 0 else ",") + inner + _join_scalars(piece, "," + inner)
-            yield inner[:-2] + "]"
-            return
-        items = [("", item) for item in value]
-        opening, closing = "[", "]"
-    else:
-        yield json.dumps(value)
-        return
-    for prefix, item in items:
-        yield opening + inner + prefix
-        yield from _json_chunks(item, indent + 2)
-        opening = ","
-    yield inner[:-2] + closing
-
-
 def _write_json(path, payload):
-    """Write payload as json.dump(payload, fh, indent=2) would, byte for byte."""
     with open(path, "w") as fh:
-        fh.writelines(_json_chunks(payload, 0))
+        fh.write(json.dumps(payload, indent=2))
 
 
 def _error_row(m, n, error):

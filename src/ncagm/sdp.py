@@ -25,12 +25,7 @@ and every per-block intermediate are held as one (c, d, d) stack per group.
 Each Cholesky factorization, inverse, step-length eigenvalue problem and
 matrix product then runs as one batched numpy call per group; the reduced
 problems have many small blocks, where the fixed cost of a call outweighs
-its arithmetic.  Batching leaves each LAPACK call and each product acting
-on the same matrix, but floating-point addition is not associative, so
-every sum over blocks (objectives, gap, residual norm, and the rows of A(X)
-and of the Schur complement that several blocks share) is still taken in
-the problem's block order.  The iterates thus match a block-by-block
-computation bit for bit.
+its arithmetic.  Every sum over blocks runs group by group.
 """
 
 from __future__ import annotations
@@ -211,8 +206,8 @@ class _SvecGroup:
 class _SvecConstraints:
     """The constraint operator A(X) = (tr(C_i X))_i over the kept rows,
     stored as one _SvecGroup per block dimension.  Block matrices travel as
-    one stack per group (``stack``/``unstack``); every sum over blocks runs
-    in block order."""
+    one stack per group, and every sum over blocks runs group by group;
+    ``unstack`` returns them to block order."""
 
     def __init__(self, problem, keep):
         r, blks, i, j, v = problem.constraint_arrays(keep)
@@ -235,11 +230,10 @@ class _SvecConstraints:
             self.groups.append(_SvecGroup(d, members, rows, mats))
         # position of each block among the members listed group by group
         self._pos = np.argsort(np.concatenate([g.blocks for g in self.groups]))
-        rows_by_block = self.unstack([g.rows for g in self.groups])
-        self._rows = np.concatenate(rows_by_block)
-        # index grids of each block's rows in the Schur complement; a flat
+        self._rows = np.concatenate([rows for g in self.groups for rows in g.rows])
+        # index grids of each member's rows in the Schur complement; a flat
         # index array would hold sum(len(rows)^2) integers for the solve
-        self._schur_ix = [np.ix_(rows, rows) for rows in rows_by_block]
+        self._schur_ix = [np.ix_(rows, rows) for g in self.groups for rows in g.rows]
 
     def stack(self, blocks):
         """Per-block matrices as one (c, d, d) stack per group."""
@@ -251,15 +245,8 @@ class _SvecConstraints:
         flat = list(chain.from_iterable(per_group))
         return [flat[p] for p in self._pos]
 
-    def block_sums(self, stacks):
-        """Sum of the entries of each block, in block order."""
-        sums = np.concatenate([x.reshape(len(x), -1).sum(axis=1) for x in stacks])
-        return sums[self._pos]
-
     def a_of(self, mats):
-        parts = self.unstack(
-            [a @ v for a, v in zip(g.a, g.svec(x))] for g, x in zip(self.groups, mats))
-        # bincount adds the parts in block order, as a loop of += would
+        parts = [a @ v for g, x in zip(self.groups, mats) for a, v in zip(g.a, g.svec(x))]
         return np.bincount(self._rows, weights=np.concatenate(parts), minlength=self.m)
 
     def at_of(self, y):
@@ -273,8 +260,8 @@ class _SvecConstraints:
 
     def schur(self, ys, z_invs):
         """S_ij = tr(C_i Y C_j Z^-1), each block adding onto the rows it
-        touches, in block order."""
-        parts = self.unstack(
+        touches."""
+        parts = chain.from_iterable(
             g.schur_parts(y, z) for g, y, z in zip(self.groups, ys, z_invs))
         s = np.zeros((self.m, self.m))
         for ix, part in zip(self._schur_ix, parts):
@@ -314,6 +301,11 @@ def _t(mats):
 
 def _sym(mats):
     return 0.5 * (mats + _t(mats))
+
+
+def _inner(xs, ws):
+    """Sum over blocks of <X, W>, given as one stack per group."""
+    return sum(float(np.vdot(x, w)) for x, w in zip(xs, ws))
 
 
 def _add_to_diagonal(mat, value):
@@ -423,7 +415,7 @@ def solve(problem, options=None):
     m = len(keep)
     b = np.array([problem.rhs[k] for k in keep], dtype=float)
     cons = _SvecConstraints(problem, keep)
-    a_of, at_of, block_sums = cons.a_of, cons.at_of, cons.block_sums
+    a_of, at_of = cons.a_of, cons.at_of
     c0_blocks = problem.dense_matrix(problem.objective)
     norm_c = cons.max_row_norm()
     alpha0 = 1.0 + (float(np.abs(b).max()) if m else 0.0) + max(
@@ -447,15 +439,15 @@ def solve(problem, options=None):
 
     for it in range(opts.max_iterations):
         iterations = it
-        pobj = sum(block_sums([c * x for c, x in zip(c0, ys)]).tolist())
+        pobj = _inner(c0, ys)
         dobj = float(b @ y)
         rp = b - a_of(ys)
         rd = [c - t - z for c, t, z in zip(c0, at_of(y), zs)]
-        gap = sum(block_sums([x * z for x, z in zip(ys, zs)]).tolist())
+        gap = _inner(ys, zs)
 
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         pres = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
-        dres = float(np.sqrt(sum(block_sums([r ** 2 for r in rd])))) / (1.0 + norm_c)
+        dres = math.sqrt(_inner(rd, rd)) / (1.0 + norm_c)
         if opts.verbose:
             print(f"  iter {it:3d}  pobj {pobj:+.8e}  dobj {dobj:+.8e} "
                   f"gap {rel_gap:.2e}  pres {pres:.2e}  dres {dres:.2e}")
@@ -466,8 +458,8 @@ def solve(problem, options=None):
         obj_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         merit = max(abs(rel_gap), pres, dres, obj_gap)
         if np.isfinite(merit) and (best is None or merit < best[0]):
-            best = (merit, [x.copy() for x in ys], [z.copy() for z in zs],
-                    y.copy(), pobj, dobj, gap)
+            # ys, zs and y are rebound each step, never changed in place
+            best = (merit, ys, zs, y, pobj, dobj, gap)
             best_it = it
             stall = 0
         else:
@@ -520,9 +512,8 @@ def solve(problem, options=None):
         dy_blocks_a = [-x - _sym(x @ dz @ zi) for x, dz, zi in zip(ys, dz_a, z_invs)]
         ap, ad = _max_steps([np.concatenate(d) for d in zip(dy_blocks_a, dz_a)], chols)
         ap, ad = min(1.0, ap), min(1.0, ad)
-        gap_aff = sum(block_sums(
-            [(x + ap * dx) * (z + ad * dz) for x, dx, z, dz in zip(ys, dy_blocks_a, zs, dz_a)]
-        ).tolist())
+        gap_aff = _inner([x + ap * dx for x, dx in zip(ys, dy_blocks_a)],
+                         [z + ad * dz for z, dz in zip(zs, dz_a)])
         sigma = (max(gap_aff, 0.0) / gap) ** 3 if gap > 0 else 0.1
         sigma = float(np.clip(sigma, 1e-10, 1.0))
 
@@ -559,8 +550,7 @@ def solve(problem, options=None):
         fallbacks.append(("best_iterate", status == "optimal"))
 
     dual_full = np.zeros(problem.num_constraints)
-    for pos, k in enumerate(keep):
-        dual_full[k] = y[pos]
+    dual_full[keep] = y
     rel_gap = gap / (1.0 + abs(pobj) + abs(dobj)) if np.isfinite(gap) else np.nan
     return Solution(cons.unstack(ys), dual_full, pobj, dobj, rel_gap, status, iterations + 1,
                     tuple(fallbacks))

@@ -169,7 +169,10 @@ def import_sdpa(source):
                 lineno,
             )
         target = objective if matno == 0 else constraints[matno - 1]
-        target[(blkno - 1, i - 1, j - 1)] = value
+        key = (blkno - 1, i - 1, j - 1)
+        if key in target:
+            raise SdpaParseError(f"repeated entry {matno} {blkno} {i} {j}", lineno)
+        target[key] = value
 
     return SdpProblem(block_dims, constraints, rhs, objective, meta)
 

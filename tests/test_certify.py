@@ -627,6 +627,14 @@ class TestEvalInstance:
         with pytest.raises(ValueError, match=f'"{key}" must be an integer'):
             load_instance(payload)
 
+    @pytest.mark.parametrize("matrix", ["1", [True], [1, "0", 0, 1], [1, None, 0, 1], {"0": 1}, 1.0],
+                             ids=["string", "bool", "string-entry", "null-entry", "object", "number"])
+    def test_load_instance_non_number_matrix_rejected(self, matrix):
+        # float() would read "1" as a digit, true as 1.0 and "0" as 0.0
+        payload = {"n": 2, "m": 2, "matrices": [[1, 0, 0, 1], matrix]}
+        with pytest.raises(ValueError, match=r'"matrices"\[1\] must be a list of numbers'):
+            load_instance(payload)
+
     def test_load_instance(self, tmp_path):
         import json
 

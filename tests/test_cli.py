@@ -308,7 +308,7 @@ class TestCertifySosM2:
 
 
 class TestWriteJson:
-    """The streaming writer's file equals json.dumps(payload, indent=2)."""
+    """Every --out file equals json.dumps(payload, indent=2)."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -358,7 +358,7 @@ class TestWriteJson:
         assert payload["violations"] == [] and payload["improved_bounds"] == {}
         self.assert_same_bytes(written)
         # the same shape with non-ASCII text, nested empties, other scalars
-        # and lists long enough to be written in several pieces
+        # and long lists
         payload.update({"violations": ["upper Loewner bound \u2264 n\u00b7m"],
                         "r\u00e9sum\u00e9": {"a": [[], {}, [1, 2.5, None, True]]},
                         "dual": [repr(k / 7) for k in range(600)],
@@ -394,8 +394,9 @@ class TestCheckInstance:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,"nan",0,1]]}', "must be finite"),
-            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,0,0,"inf"]]}', "must be finite"),
+            # json reads the NaN and Infinity literals as floats
+            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,NaN,0,1]]}', "must be finite"),
+            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,0,0,Infinity]]}', "must be finite"),
             ('{"n":2,"m":3,"matrices":[[1,0,0,1],[1,0,0,1]]}', "need 1 <= m <= n"),
             ('{"n":2,"m":2,"matrices":[[1,0,0],[1,0,0,1]]}', "not a perfect square"),
             ('{"n":2,"m":2,"matrices":[[1],[1,0,0,1]]}', "equal dimension"),
@@ -407,10 +408,14 @@ class TestCheckInstance:
             ('{"n":2,"m":2.9,"matrices":[[1,0,0,1],[1,0,0,1]]}', '"m" must be an integer'),
             ('{"n":1,"m":true,"matrices":[[1]]}', '"m" must be an integer'),
             ('{"n":2,"m":2,"matrices":[[],[]]}', "at least one entry"),
+            ('{"n":2,"m":2,"matrices":["1",[true]]}', '"matrices"[0] must be a list of numbers'),
+            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[true]]}', '"matrices"[1] must be a list'),
+            ('{"n":2,"m":2,"matrices":[[1,0,0,1],[1,"nan",0,1]]}', '"matrices"[1] must be a list'),
+            ('{"n":2,"m":2,"matrices":"ab"}', '"matrices" must be a list'),
         ],
         ids=["nan", "inf", "m-exceeds-n", "entry-count", "unequal-dims", "asymmetric",
              "invalid-json", "missing-key", "missing-file", "float-n", "float-m", "bool-m",
-             "zero-size"],
+             "zero-size", "string-matrix", "bool-entry", "string-entry", "string-matrices"],
     )
     def test_bad_instance_exits_2(self, text, message, capsys, tmp_path):
         path = tmp_path / "instance.json"

@@ -164,6 +164,16 @@ class TestParsing:
             import_sdpa(text)
         assert err.value.line_number == line
 
+    @pytest.mark.parametrize("text,line", [
+        ("1\n1\n2\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n1 1 1 1 5.0\n", 7),
+        ("1\n1\n2\n1.0\n0 1 1 2 1.0\n* note\n0 1 1 2 1.0\n1 1 1 1 1.0\n", 7),
+    ])
+    def test_repeated_entry_rejected(self, text, line):
+        # a repeat would silently replace the earlier value
+        with pytest.raises(SdpaParseError, match="repeated entry") as err:
+            import_sdpa(text)
+        assert err.value.line_number == line
+
     def test_wrong_rhs_count(self):
         text = "2\n1\n2\n3.0\n1 1 1 1 1.0\n"
         with pytest.raises(SdpaParseError) as err:
