@@ -22,6 +22,7 @@ from .compiler import (
     localizing_entry,
     monomial_basis,
     retarget,
+    retargeting,
     symmetry_reduce,
 )
 from .sdp import (
@@ -59,6 +60,7 @@ __all__ = [
     "localizing_entry",
     "monomial_basis",
     "retarget",
+    "retargeting",
     "symmetry_reduce",
     "FarkasCertificate",
     "SdpProblem",

@@ -14,7 +14,7 @@ import sys
 from itertools import groupby
 
 from . import certify as certify_mod
-from .compiler import assemble_sdp, retarget, symmetry_reduce
+from .compiler import assemble_sdp, retargeting, symmetry_reduce
 from .sdp import SolverOptions, extract_farkas, farkas_from_dual, optimal_dual, solve
 from .sdpa import write_sdpa
 
@@ -51,16 +51,17 @@ def _error_row(m, n, error):
     return {"m": m, "n": n, "bound": bound, "error": error, "verdict": "ERROR"}
 
 
-def _table_row(m, n, base, args):
-    """The record of row (m, n), whose two lambda problems are retargeted
-    from ``base``, a problem of the same n and degree bound m // 2."""
+def _table_row(m, n, to_target, args):
+    """The record of row (m, n), whose two lambda problems come from
+    ``to_target``, which retargets a problem of the same n and degree bound
+    m // 2."""
     # a verdict slack at solver accuracy would misflag rows where lambda_1
     # sits exactly on the bound, so widen it past the 1e-8 duality gap
     verdict_tol = max(args.tol, 1e-4)
     options = SolverOptions(tolerance=args.tol)
     try:
-        sol1 = solve(retarget(base, m, -1), options)
-        sol2 = solve(retarget(base, m, +1), options)
+        sol1 = solve(to_target(m, -1), options)
+        sol2 = solve(to_target(m, +1), options)
     except Exception as exc:  # noqa: BLE001 - reported in the row
         return _error_row(m, n, str(exc))
     if sol1.status != "optimal" or sol2.status != "optimal":
@@ -77,10 +78,10 @@ def _table_group(ms, n, args):
     degree bound d = m // 2 and so every constraint: the first problem is
     built once and retargeted to each row."""
     try:
-        base = _build_problem(ms[0], n, -1, args)
+        to_target = retargeting(_build_problem(ms[0], n, -1, args))
     except Exception as exc:  # noqa: BLE001 - reported in the group's rows
         return [_error_row(m, n, str(exc)) for m in ms]
-    return [_table_row(m, n, base, args) for m in ms]
+    return [_table_row(m, n, to_target, args) for m in ms]
 
 
 def cmd_table(args):

@@ -12,7 +12,8 @@ d = m // 2 and beta the monomial basis of degree <= d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product, zip_longest
 
@@ -128,10 +129,18 @@ def _check_target(m, n, sign):
 
 
 def _target_rhs(m, n, sign, words):
-    """Right-hand side of the (m, n, sign) problem over ``words``: minus
-    sign times each word's coefficient in the distinct-product sum."""
-    terms = distinct_product_sum(m, n).terms
-    return [-float(sign) * float(terms.get(w, 0)) for w in words]
+    """Right-hand side of the (m, n, sign) problem over ``words``, the
+    words_up_to(n, k) for some k >= m: minus sign times each word's
+    coefficient in the distinct-product sum.  A word's index there is
+    the number whose bijective base-n digits (1..n, first most
+    significant) are its letters."""
+    rhs = [-float(sign) * 0.0] * len(words)
+    for word, coeff in distinct_product_sum(m, n).terms.items():
+        index = 0
+        for letter in word:
+            index = index * n + letter
+        rhs[index] = -float(sign) * float(coeff)
+    return rhs
 
 
 def assemble_sdp(m, n, sign):
@@ -453,6 +462,36 @@ def symmetry_reduce(problem):
     return reduced, orbits
 
 
+def retargeting(problem):
+    """A function (m, sign) -> retarget(problem, m, sign).  The words, their
+    permutations under S_n and the word-orbit representatives depend only
+    on n and d, so they are computed once here for every target."""
+    meta = problem.meta
+    if "d" not in meta:
+        raise ValueError("retarget needs a problem from assemble_sdp or symmetry_reduce")
+    n, d = meta["n"], meta["d"]
+    words = words_up_to(n, 2 * d + 1)
+    wperms = _word_perms(n, 2 * d + 1, _generator_images(n))
+    word_reps = _orbit_labels(wperms, len(words))[1] if meta.get("reduced") else None
+
+    def to_target(m, sign):
+        _check_target(m, n, sign)
+        if m // 2 != d:
+            raise ValueError(f"m={m} needs degree bound {m // 2}, the problem has d={d}")
+        rhs = _target_rhs(m, n, sign, words)
+        for wperm in wperms[:-1]:
+            _check_generator(rhs, wperm, words)
+        if word_reps is not None:
+            rhs = [rhs[k] for k in word_reps]
+        # the constraint data was checked when ``problem`` was built, and
+        # the new right-hand side is finite and of the same length
+        out = copy(problem)
+        out.rhs, out.meta = rhs, {**meta, "m": m, "sign": sign}
+        return out
+
+    return to_target
+
+
 def retarget(problem, m, sign):
     """The (m, n, sign) problem with the same n and degree bound d as
     ``problem``, which comes from assemble_sdp or symmetry_reduce.
@@ -462,20 +501,6 @@ def retarget(problem, m, sign):
     ``problem``.  The right-hand side is computed over every word as in
     assemble_sdp and checked for S_n invariance; a reduced problem keeps
     the entry of each word-orbit representative, as symmetry_reduce does.
+    To retarget one problem to several targets, call ``retargeting`` once.
     """
-    meta = problem.meta
-    if "d" not in meta:
-        raise ValueError("retarget needs a problem from assemble_sdp or symmetry_reduce")
-    n, d = meta["n"], meta["d"]
-    _check_target(m, n, sign)
-    if m // 2 != d:
-        raise ValueError(f"m={m} needs degree bound {m // 2}, the problem has d={d}")
-    words = words_up_to(n, 2 * d + 1)
-    rhs = _target_rhs(m, n, sign, words)
-    wperms = _word_perms(n, 2 * d + 1, _generator_images(n))
-    for wperm in wperms[:-1]:
-        _check_generator(rhs, wperm, words)
-    if meta.get("reduced"):
-        _, word_reps = _orbit_labels(wperms, len(words))
-        rhs = [rhs[k] for k in word_reps]
-    return replace(problem, rhs=rhs, meta={**meta, "m": m, "sign": sign})
+    return retargeting(problem)(m, sign)

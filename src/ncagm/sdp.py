@@ -20,12 +20,15 @@ with (x) the symmetric Kronecker product, on those rows only.  It is
 factored by Cholesky once per iteration, and the factor is inverted once
 so that every direction solve is two matrix-vector products.
 
-Blocks of equal size are grouped once per solve, and the iterates Y and Z
-and every per-block intermediate are held as one (c, d, d) stack per group.
-Each Cholesky factorization, inverse, step-length eigenvalue problem and
-matrix product then runs as one batched numpy call per group; the reduced
-problems have many small blocks, where the fixed cost of a call outweighs
-its arithmetic.  Every sum over blocks runs group by group.
+The iterates Y and Z and every per-block intermediate are held as one
+(K, D, D) stack, each block padded with zeros to the largest block size D.
+The padding stays exactly zero: the Cholesky factors of [Y + P; Z + P],
+with P the identity on the padding, are diag(L, I), and the padding adds
+only zero eigenvalues to the step-length problems.  So each Cholesky
+factorization, inverse, step-length eigenvalue problem and matrix product
+runs as one batched numpy call per iteration, whatever the block sizes;
+the reduced problems have many small blocks, where the fixed cost of a
+call outweighs its arithmetic.
 """
 
 from __future__ import annotations
@@ -52,17 +55,25 @@ class SdpProblem:
 
     def __post_init__(self):
         self.block_dims = tuple(int(d) for d in self.block_dims)
+        if not self.block_dims:
+            raise SdpError("a problem needs at least one block")
         if any(d < 1 for d in self.block_dims):
             raise SdpError("block dimensions must be positive")
         if len(self.constraints) != len(self.rhs):
             raise SdpError("constraint/right-hand-side length mismatch")
-        for entries in list(self.constraints) + [self.objective]:
-            for (blk, i, j) in entries:
-                if not 0 <= blk < len(self.block_dims):
+        if not np.isfinite(np.asarray(self.rhs, dtype=float)).all():
+            raise SdpError("right-hand side values must be finite")
+        dims, count = self.block_dims, len(self.block_dims)
+        data = list(self.constraints) + [self.objective]
+        for entries in data:
+            for blk, i, j in entries:
+                if not 0 <= blk < count:
                     raise SdpError(f"block index {blk} out of range")
-                dim = self.block_dims[blk]
-                if not 0 <= i <= j < dim:
-                    raise SdpError(f"entry ({i},{j}) out of range for block of dim {dim}")
+                if not 0 <= i <= j < dims[blk]:
+                    raise SdpError(f"entry ({i},{j}) out of range for block of dim {dims[blk]}")
+        values = np.fromiter(chain.from_iterable(e.values() for e in data), dtype=float)
+        if not np.isfinite(values).all():
+            raise SdpError("constraint and objective values must be finite")
 
     @property
     def num_constraints(self):
@@ -128,11 +139,15 @@ class Solution:
 
 def _dedup_rows(problem):
     """Collapse byte-identical constraint rows (word-indexed rows repeat for
-    a word and its reversal).  Returns (kept indices, contradiction flag)."""
+    a word and its reversal) and drop empty rows, which read 0 = rhs.
+    Returns (kept indices, contradiction flag)."""
     seen = {}
     keep = []
     contradiction = False
     for k, (entries, r) in enumerate(zip(problem.constraints, problem.rhs)):
+        if not entries:
+            contradiction |= r != 0
+            continue
         key = tuple(sorted(entries.items()))
         if key in seen:
             if problem.rhs[seen[key]] != r:
@@ -143,45 +158,70 @@ def _dedup_rows(problem):
     return keep, contradiction
 
 
-def _dim_groups(dims):
-    """Block indices grouped by dimension: each group in block order, the
-    groups in order of first appearance."""
-    groups = {}
-    for k, d in enumerate(dims):
-        groups.setdefault(d, []).append(k)
-    return list(groups.values())
+def _kron_grids(dim, stride):
+    """Flat positions, in a matrix of row stride ``stride``, of the index
+    pairs that the symmetric Kronecker product of dim x dim blocks reads
+    in svec coordinates, e.g. ij[p, q] = iu[p] * stride + ju[q]; then the
+    products of the svec half-weights."""
+    iu, ju = np.triu_indices(dim)
+    half = np.where(iu == ju, 0.5, 0.5 * np.sqrt(2.0))
+    return (np.add.outer(iu * stride, ju), np.add.outer(ju * stride, iu),
+            np.add.outer(iu * stride, iu), np.add.outer(ju * stride, ju),
+            np.multiply.outer(half, half))
 
 
-class _SvecGroup:
-    """Constraint data of the PSD blocks of one dimension in svec coordinates.
+class _SvecConstraints:
+    """The constraint operator A(X) = (tr(C_i X))_i over the kept rows.
 
-    svec(X) = scale * X[iu, ju] over the upper triangle, so that
-    svec(X) . svec(W) = <X, W> for symmetric X and W.  Member k is block
-    ``blocks[k]``; ``a[k]`` holds svec(C_i) for the constraint rows
-    ``rows[k]`` that touch it, and all other rows are zero on it and are
-    left out.  Matrices come and go as one (c, d, d) stack over the c
-    members.
+    Block matrices travel as one (K, D, D) stack: block k sits in the
+    leading d_k x d_k corner of slice k, and the rest of the slice, its
+    padding, is zero.  ``pad`` is the identity on each slice's padding.
+    svec(X) = scale * X[iu, ju] over the upper triangle of a D x D slice,
+    so that svec(X) . svec(W) = <X, W> for symmetric X and W; the svec of
+    block k is its part ``cols[k]``, those positions with ju < d_k.  Block
+    k keeps ``a[k]``, the svec of C_i on the block for the constraint rows
+    ``rows[k]`` that touch it; all other rows are zero on it and are left
+    out.  A block's products with its ``a`` and its Kronecker product run
+    at its own size, so they do not depend on the padding.
     """
 
-    def __init__(self, dim, blocks, rows, a):
-        self.dim = dim
-        self.blocks = blocks
-        self.rows = rows
-        self.a = a
-        self.iu, self.ju = np.triu_indices(dim)
+    def __init__(self, problem, keep):
+        r, blks, i, j, v = problem.constraint_arrays(keep)
+        self.dims = problem.block_dims
+        d = self.dim = max(self.dims)
+        self.m = len(keep)
+        self.pad = np.zeros((len(self.dims), d, d))
+        self.iu, self.ju = np.triu_indices(d)
         self.scale = np.where(self.iu == self.ju, 1.0, np.sqrt(2.0))
-        half = 0.5 * self.scale
-        self.half_outer = np.multiply.outer(half, half)
-        # flat d*d positions of the index pairs the symmetric Kronecker
-        # product reads, e.g. _ij[p, q] = iu[p] * d + ju[q]
-        iu_rows, ju_rows = self.iu * dim, self.ju * dim
-        self._ij = np.add.outer(iu_rows, self.ju)
-        self._ji = np.add.outer(ju_rows, self.iu)
-        self._ii = np.add.outer(iu_rows, self.iu)
-        self._jj = np.add.outer(ju_rows, self.ju)
+        self.rows, self.a, self.cols = [], [], []
+        for blk, dim in enumerate(self.dims):
+            self.pad[blk, range(dim, d), range(dim, d)] = 1.0
+            self.cols.append(np.flatnonzero(self.ju < dim))
+            on = blks == blk
+            bi, bj = i[on], j[on]
+            # rows touching the block, and each entry's row among them
+            block_rows, lr = np.unique(r[on], return_inverse=True)
+            a = np.zeros((len(block_rows), dim * (dim + 1) // 2))
+            a[lr, bi * dim - bi * (bi - 1) // 2 + (bj - bi)] = np.where(
+                bi == bj, v[on], np.sqrt(2.0) * v[on])
+            self.rows.append(block_rows)
+            self.a.append(a)
+        self._kron = {dim: _kron_grids(dim, d) for dim in set(self.dims)}
+        self._rows = np.concatenate(self.rows)
+        # index grids of each block's rows in the Schur complement; a flat
+        # index array would hold sum(len(rows)^2) integers for the solve
+        self._schur_ix = [np.ix_(rows, rows) for rows in self.rows]
 
-    def svec(self, mats):
-        return self.scale * mats[:, self.iu, self.ju]
+    def stack(self, blocks):
+        """Per-block matrices as one padded (K, D, D) stack."""
+        out = np.zeros_like(self.pad)
+        for x, blk in zip(out, blocks):
+            x[:len(blk), :len(blk)] = blk
+        return out
+
+    def unstack(self, mats):
+        """The blocks of a padded stack, in block order."""
+        return [x[:d, :d].copy() for x, d in zip(mats, self.dims)]
 
     def smat(self, vecs):
         out = np.empty((len(vecs), self.dim, self.dim))
@@ -190,81 +230,38 @@ class _SvecGroup:
         out[:, self.ju, self.iu] = half
         return out
 
-    def schur_parts(self, y, z_inv):
-        """Per member, rows ``rows[k]`` of the Schur complement,
-        S_ij = tr(C_i Y C_j Z^-1), as A (Y (x) Z^-1) A^T with the symmetric
-        Kronecker product in svec coordinates."""
-        yf = y.reshape(len(y), -1)
-        zf = z_inv.reshape(len(z_inv), -1)
-        cross = yf[:, self._ij] * zf[:, self._ji]
-        kron = (yf[:, self._ii] * zf[:, self._jj]
-                + yf[:, self._jj] * zf[:, self._ii] + cross + _t(cross))
-        kron *= self.half_outer
-        return [_sym((a @ k) @ a.T) for a, k in zip(self.a, kron)]
-
-
-class _SvecConstraints:
-    """The constraint operator A(X) = (tr(C_i X))_i over the kept rows,
-    stored as one _SvecGroup per block dimension.  Block matrices travel as
-    one stack per group, and every sum over blocks runs group by group;
-    ``unstack`` returns them to block order."""
-
-    def __init__(self, problem, keep):
-        r, blks, i, j, v = problem.constraint_arrays(keep)
-        dims = problem.block_dims
-        self.m = len(keep)
-        self.groups = []
-        for members in _dim_groups(dims):
-            d = dims[members[0]]
-            rows, mats = [], []
-            for blk in members:
-                on = blks == blk
-                bi, bj = i[on], j[on]
-                # rows touching the block, and each entry's row among them
-                block_rows, lr = np.unique(r[on], return_inverse=True)
-                a = np.zeros((len(block_rows), d * (d + 1) // 2))
-                a[lr, bi * d - bi * (bi - 1) // 2 + (bj - bi)] = np.where(
-                    bi == bj, v[on], np.sqrt(2.0) * v[on])
-                rows.append(block_rows)
-                mats.append(a)
-            self.groups.append(_SvecGroup(d, members, rows, mats))
-        # position of each block among the members listed group by group
-        self._pos = np.argsort(np.concatenate([g.blocks for g in self.groups]))
-        self._rows = np.concatenate([rows for g in self.groups for rows in g.rows])
-        # index grids of each member's rows in the Schur complement; a flat
-        # index array would hold sum(len(rows)^2) integers for the solve
-        self._schur_ix = [np.ix_(rows, rows) for g in self.groups for rows in g.rows]
-
-    def stack(self, blocks):
-        """Per-block matrices as one (c, d, d) stack per group."""
-        return [np.stack([blocks[k] for k in g.blocks]) for g in self.groups]
-
-    def unstack(self, per_group):
-        """Per-member items, given group by group (a stack or a list per
-        group), in block order."""
-        flat = list(chain.from_iterable(per_group))
-        return [flat[p] for p in self._pos]
-
     def a_of(self, mats):
-        parts = [a @ v for g, x in zip(self.groups, mats) for a, v in zip(g.a, g.svec(x))]
+        vecs = self.scale * mats[:, self.iu, self.ju]
+        parts = [a @ v[c] for a, v, c in zip(self.a, vecs, self.cols)]
         return np.bincount(self._rows, weights=np.concatenate(parts), minlength=self.m)
 
     def at_of(self, y):
-        return [g.smat(np.array([y[rows] @ a for rows, a in zip(g.rows, g.a)]))
-                for g in self.groups]
+        vecs = np.zeros((len(self.dims), len(self.iu)))
+        for vec, rows, a, c in zip(vecs, self.rows, self.a, self.cols):
+            vec[c] = y[rows] @ a
+        return self.smat(vecs)
 
     def max_row_norm(self):
         """Largest Frobenius norm of one constraint matrix on one block."""
-        return max(float(np.linalg.norm(a, axis=1).max(initial=0.0))
-                   for g in self.groups for a in g.a)
+        return max(float(np.linalg.norm(a, axis=1).max(initial=0.0)) for a in self.a)
+
+    def schur_parts(self, ys, z_invs):
+        """Per block k, rows ``rows[k]`` of the Schur complement,
+        S_ij = tr(C_i Y C_j Z^-1), as A (Y (x) Z^-1) A^T with the symmetric
+        Kronecker product in svec coordinates, built one block at a time."""
+        flat_ys, flat_zs = ys.reshape(len(ys), -1), z_invs.reshape(len(z_invs), -1)
+        for a, dim, y, z in zip(self.a, self.dims, flat_ys, flat_zs):
+            ij, ji, ii, jj, half_outer = self._kron[dim]
+            cross = y[ij] * z[ji]
+            kron = y[ii] * z[jj] + y[jj] * z[ii] + cross + cross.T
+            kron *= half_outer
+            yield _sym((a @ kron) @ a.T)
 
     def schur(self, ys, z_invs):
         """S_ij = tr(C_i Y C_j Z^-1), each block adding onto the rows it
         touches."""
-        parts = chain.from_iterable(
-            g.schur_parts(y, z) for g, y, z in zip(self.groups, ys, z_invs))
         s = np.zeros((self.m, self.m))
-        for ix, part in zip(self._schur_ix, parts):
+        for ix, part in zip(self._schur_ix, self.schur_parts(ys, z_invs)):
             s[ix] += part
         return s
 
@@ -303,11 +300,6 @@ def _sym(mats):
     return 0.5 * (mats + _t(mats))
 
 
-def _inner(xs, ws):
-    """Sum over blocks of <X, W>, given as one stack per group."""
-    return sum(float(np.vdot(x, w)) for x, w in zip(xs, ws))
-
-
 def _add_to_diagonal(mat, value):
     """mat + value * I, without building the identity."""
     out = mat.copy()
@@ -319,16 +311,14 @@ def _add_to_diagonal(mat, value):
 _STEP_SCALE = 0.98
 
 
-def _max_steps(deltas, chols):
+def _max_steps(deltas, chol_invs):
     """Largest alpha_p and alpha_d keeping Y + alpha_p dY and Z + alpha_d dZ
-    PSD, per Cholesky scaling.  Per group, ``deltas`` stacks [dY; dZ] and
-    ``chols`` the factors [L(Y); L(Z)] of the same members."""
-    lams = []
-    for dx, chol in zip(deltas, chols):
-        w = _t(np.linalg.solve(chol, _t(np.linalg.solve(chol, dx))))
-        lams.append(np.linalg.eigvalsh(_sym(w)).min(axis=-1).reshape(2, -1))
+    PSD, per Cholesky scaling.  ``deltas`` stacks [dY; dZ] and ``chol_invs``
+    the inverse factors [L(Y)^-1; L(Z)^-1] of the same blocks.  Padding,
+    zero in every delta, gives zero eigenvalues, which set no bound."""
+    w = chol_invs @ deltas @ _t(chol_invs)
     steps = []
-    for lam in np.concatenate(lams, axis=1):
+    for lam in np.linalg.eigvalsh(_sym(w)).min(axis=-1).reshape(2, -1):
         lam = lam[lam < -1e-14]
         steps.append(float((-1.0 / lam).min()) if lam.size else np.inf)
     return steps
@@ -415,17 +405,15 @@ def solve(problem, options=None):
     m = len(keep)
     b = np.array([problem.rhs[k] for k in keep], dtype=float)
     cons = _SvecConstraints(problem, keep)
-    a_of, at_of = cons.a_of, cons.at_of
-    c0_blocks = problem.dense_matrix(problem.objective)
+    a_of, at_of, pad = cons.a_of, cons.at_of, cons.pad
+    c0 = cons.stack(problem.dense_matrix(problem.objective))
     norm_c = cons.max_row_norm()
-    alpha0 = 1.0 + (float(np.abs(b).max()) if m else 0.0) + max(
-        norm_c, float(np.linalg.norm(np.concatenate([blk.ravel() for blk in c0_blocks])))
-    )
+    alpha0 = 1.0 + (float(np.abs(b).max()) if m else 0.0) + max(norm_c, float(np.linalg.norm(c0)))
 
-    # one (c, d, d) stack per group of same-size blocks
-    c0 = cons.stack(c0_blocks)
-    ys = [alpha0 * np.broadcast_to(np.eye(c.shape[-1]), c.shape) for c in c0]
-    zs = [x.copy() for x in ys]
+    ys = alpha0 * (np.eye(cons.dim) - pad)
+    zs = ys.copy()
+    pads = np.concatenate([pad, pad])
+    eye = np.broadcast_to(np.eye(cons.dim), pads.shape)
     y = np.zeros(m)
 
     status = "max_iterations"
@@ -439,15 +427,15 @@ def solve(problem, options=None):
 
     for it in range(opts.max_iterations):
         iterations = it
-        pobj = _inner(c0, ys)
+        pobj = float(np.vdot(c0, ys))
         dobj = float(b @ y)
         rp = b - a_of(ys)
-        rd = [c - t - z for c, t, z in zip(c0, at_of(y), zs)]
-        gap = _inner(ys, zs)
+        rd = c0 - at_of(y) - zs
+        gap = float(np.vdot(ys, zs))
 
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
         pres = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
-        dres = math.sqrt(_inner(rd, rd)) / (1.0 + norm_c)
+        dres = math.sqrt(float(np.vdot(rd, rd))) / (1.0 + norm_c)
         if opts.verbose:
             print(f"  iter {it:3d}  pobj {pobj:+.8e}  dobj {dobj:+.8e} "
                   f"gap {rel_gap:.2e}  pres {pres:.2e}  dres {dres:.2e}")
@@ -485,52 +473,48 @@ def solve(problem, options=None):
             break
 
         try:
-            # per group, the factors of [Y; Z]
-            chols = [np.linalg.cholesky(np.concatenate([x, z])) for x, z in zip(ys, zs)]
+            # the padded factors are diag(L, I), exactly
+            chols = np.linalg.cholesky(np.concatenate([ys, zs]) + pads)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        z_invs = []
-        for chol in chols:
-            z_chol = chol[len(chol) // 2:]
-            # numpy 1.x reads a (d, d) right-hand side against a stack as
-            # a stack of vectors, so the identity is broadcast explicitly
-            eye = np.broadcast_to(np.eye(z_chol.shape[-1]), z_chol.shape)
-            z_invs.append(_sym(np.linalg.solve(_t(z_chol), np.linalg.solve(z_chol, eye))))
+        # [L(Y)^-1; L(Z)^-1]; numpy 1.x reads a (d, d) right-hand side
+        # against a stack as a stack of vectors, so the identity is
+        # broadcast explicitly
+        chol_invs = np.linalg.solve(chols, eye)
+        # Z^-1 by a second solve: the product L^-T L^-1 rounds differently
+        # and sends the near-degenerate (4,4,+1) solve to its best iterate
+        z_invs = _sym(np.linalg.solve(_t(chols[len(ys):]), chol_invs[len(ys):])) - pad
 
         factor = _SchurFactor(cons.schur(ys, z_invs))
         max_shift = max(max_shift, factor.shift)
         eig_iterations += factor.eig is not None
 
         mu = gap / nu
-        hyrz = [_sym(x @ r @ zi) for x, r, zi in zip(ys, rd, z_invs)]
+        hyrz = _sym(ys @ rd @ z_invs)
         a_hyrz = a_of(hyrz)
 
         # predictor (affine scaling)
         dy_a = factor.solve(b + a_hyrz)
-        dz_a = [r - t for r, t in zip(rd, at_of(dy_a))]
-        dy_blocks_a = [-x - _sym(x @ dz @ zi) for x, dz, zi in zip(ys, dz_a, z_invs)]
-        ap, ad = _max_steps([np.concatenate(d) for d in zip(dy_blocks_a, dz_a)], chols)
+        dz_a = rd - at_of(dy_a)
+        dy_blocks_a = -ys - _sym(ys @ dz_a @ z_invs)
+        ap, ad = _max_steps(np.concatenate([dy_blocks_a, dz_a]), chol_invs)
         ap, ad = min(1.0, ap), min(1.0, ad)
-        gap_aff = _inner([x + ap * dx for x, dx in zip(ys, dy_blocks_a)],
-                         [z + ad * dz for z, dz in zip(zs, dz_a)])
+        gap_aff = float(np.vdot(ys + ap * dy_blocks_a, zs + ad * dz_a))
         sigma = (max(gap_aff, 0.0) / gap) ** 3 if gap > 0 else 0.1
         sigma = float(np.clip(sigma, 1e-10, 1.0))
 
         # corrector
-        corr = [_sym(dx @ dz @ zi) for dx, dz, zi in zip(dy_blocks_a, dz_a, z_invs)]
+        corr = _sym(dy_blocks_a @ dz_a @ z_invs)
         rhs_c = b - sigma * mu * a_of(z_invs) + a_hyrz + a_of(corr)
         dy = factor.solve(rhs_c)
-        dz = [r - t for r, t in zip(rd, at_of(dy))]
-        dy_blocks = [
-            sigma * mu * zi - x - _sym(x @ d @ zi) - c
-            for zi, x, d, c in zip(z_invs, ys, dz, corr)
-        ]
-        ap, ad = _max_steps([np.concatenate(d) for d in zip(dy_blocks, dz)], chols)
+        dz = rd - at_of(dy)
+        dy_blocks = sigma * mu * z_invs - ys - _sym(ys @ dz @ z_invs) - corr
+        ap, ad = _max_steps(np.concatenate([dy_blocks, dz]), chol_invs)
         ap, ad = min(1.0, _STEP_SCALE * ap), min(1.0, _STEP_SCALE * ad)
 
-        ys = [_sym(x + ap * d) for x, d in zip(ys, dy_blocks)]
-        zs = [_sym(z + ad * d) for z, d in zip(zs, dz)]
+        ys = _sym(ys + ap * dy_blocks)
+        zs = _sym(zs + ad * dz)
         y = y + ad * dy
         # the Schur complement and its inverse factor live for one iteration
         del factor

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +75,7 @@ class TestTable:
         assert hashlib.sha256(stdout.encode()).hexdigest() == TABLE_HEAVY_JSON_SHA256
 
     def test_one_build_per_n_and_degree(self, capsys, monkeypatch):
-        calls = {"assemble_sdp": 0, "symmetry_reduce": 0}
+        calls = {"assemble_sdp": 0, "symmetry_reduce": 0, "retargeting": 0}
         for name in calls:
             original = getattr(ncagm.cli, name)
 
@@ -82,11 +85,12 @@ class TestTable:
 
             monkeypatch.setattr(ncagm.cli, name, counted)
         assert run(["table", "--format", "csv"], capsys)[0] == EXIT_OK
-        assert calls == {"assemble_sdp": 8, "symmetry_reduce": 8}
+        assert calls == {"assemble_sdp": 8, "symmetry_reduce": 8, "retargeting": 8}
         # the ten (n, d) of --heavy, and nothing kept from one run to the next
         for total in (18, 28):
             assert run(["table", "--heavy", "--format", "csv"], capsys)[0] == EXIT_OK
-            assert calls == {"assemble_sdp": total, "symmetry_reduce": total}
+            assert calls == {"assemble_sdp": total, "symmetry_reduce": total,
+                             "retargeting": total}
 
     def test_failed_build_fails_its_group_only(self, capsys, monkeypatch):
         original = ncagm.cli.symmetry_reduce
@@ -449,3 +453,25 @@ class TestReadmeCommands:
     def test_parses(self, argv):
         args = build_parser().parse_args(argv)
         assert callable(args.run)
+
+
+class TestDependencies:
+    def test_solve_imports_only_stdlib_and_numpy(self, tmp_path):
+        """numpy is the only declared dependency: a CLI solve imports no
+        other top-level module outside the standard library."""
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import ncagm.cli\n"
+            "code = ncagm.cli.main(['solve', '--m', '2', '--n', '2'])\n"
+            "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps([code, sorted(new - set(sys.stdlib_module_names))]))\n"
+        )
+        src = str(Path(ncagm.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+        code, outside = json.loads(done.stdout.splitlines()[-1])
+        assert code == EXIT_OK
+        assert set(outside) <= {"ncagm", "numpy"}
+        assert "ncagm" in outside

@@ -17,6 +17,7 @@ from ncagm import (
     monomial_basis,
     poly_transpose,
     retarget,
+    retargeting,
     symmetry_reduce,
 )
 from ncagm.compiler import words_up_to
@@ -248,6 +249,21 @@ class TestRetarget:
                 assert render_sdpa(got) == render_sdpa(symmetry_reduce(direct)[0])
                 assert got.constraints is reduced.constraints
                 assert got.block_dims == reduced.block_dims
+
+    def test_targets_share_word_work(self, monkeypatch):
+        # the words, their permutations and orbits are computed once per
+        # problem, not once per target
+        reduced, _ = symmetry_reduce(assemble_sdp(4, 5, -1))
+        targets = [(4, -1), (4, 1), (5, -1), (5, 1)]
+        expected = [render_sdpa(retarget(reduced, m, sign)) for m, sign in targets]
+        to_target = retargeting(reduced)
+
+        def fail(*args):
+            raise AssertionError("(n, d) work repeated for a target")
+
+        for name in ("words_up_to", "_word_perms", "_orbit_labels"):
+            monkeypatch.setattr(f"ncagm.compiler.{name}", fail)
+        assert [render_sdpa(to_target(m, sign)) for m, sign in targets] == expected
 
     @pytest.mark.parametrize("m,sign", [(4, 1), (1, 1), (3, 1), (2, 0), (2, 2)])
     def test_bad_target_rejected(self, m, sign):

@@ -1,6 +1,6 @@
 """Interior-point solver: brute-force LP oracle on random diagonal SDPs,
 known optimal values of the assembled problems, status handling, and the
-stacked equal-size-block path against per-block references."""
+padded block stack against per-block references."""
 
 import itertools
 import random
@@ -16,11 +16,12 @@ from ncagm import (
     solve,
     symmetry_reduce,
 )
+from ncagm import sdp
 from ncagm.certify import farkas_check
 from ncagm.sdp import (
     _TRI_LEAF,
+    SdpError,
     _dedup_rows,
-    _dim_groups,
     _max_steps,
     _SchurFactor,
     _SvecConstraints,
@@ -132,6 +133,27 @@ class TestStatuses:
         )
         assert solve(problem).status == "infeasible"
 
+    def test_empty_row_with_zero_rhs_dropped(self):
+        # 0 = 0 says nothing; kept, it would be a zero row of the Schur
+        # complement and make the diagonal shift fire
+        problem = SdpProblem((1,), [{}, {(0, 0, 0): 1.0}], [0.0, 2.0], {(0, 0, 0): 1.0})
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert sol.fallbacks == ()
+        assert sol.objective_primal == pytest.approx(2.0, abs=1e-6)
+        assert sol.dual[0] == 0.0
+        sol = solve(SdpProblem((1,), [{}], [0.0], {(0, 0, 0): 1.0}))
+        assert sol.status == "optimal"
+        assert sol.fallbacks == ()
+        assert sol.objective_primal == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("rhs", [1.0, -0.5])
+    def test_empty_row_with_nonzero_rhs_infeasible(self, rhs):
+        problem = SdpProblem((1,), [{(0, 0, 0): 1.0}, {}], [1.0, rhs], {(0, 0, 0): 1.0})
+        sol = solve(problem)
+        assert sol.status == "infeasible"
+        assert sol.iterations == 0
+
     def test_infeasible_scaled_rows(self):
         # x = 1 and 2x = 4 cannot both hold
         problem = SdpProblem(
@@ -189,6 +211,29 @@ class TestStatuses:
             solve(assemble_sdp(1, 1, 1), SolverOptions(tolerance=tolerance))
 
 
+class TestProblemChecks:
+    def test_no_blocks_rejected(self):
+        with pytest.raises(SdpError, match="at least one block"):
+            SdpProblem((), [], [], {})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rhs_rejected(self, value):
+        with pytest.raises(SdpError, match="right-hand side values must be finite"):
+            SdpProblem((1,), [{(0, 0, 0): 1.0}], [value], {(0, 0, 0): 1.0})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected(self, value):
+        with pytest.raises(SdpError, match="values must be finite"):
+            SdpProblem((1, 2), [{(0, 0, 0): 1.0}, {(1, 0, 1): value}], [1.0, 0.0], {})
+        with pytest.raises(SdpError, match="values must be finite"):
+            SdpProblem((1, 2), [{(0, 0, 0): 1.0}], [1.0], {(1, 1, 1): value})
+
+    def test_large_finite_values_accepted(self):
+        problem = SdpProblem((1,), [{(0, 0, 0): 1e308}, {(0, 0, 0): 1e308}], [1e308, 1e308],
+                             {(0, 0, 0): 1e308})
+        assert problem.num_constraints == 2
+
+
 class TestFarkas:
     def test_infeasible_target_2_2(self):
         problem = assemble_sdp(2, 2, 1)
@@ -230,22 +275,22 @@ class TestSvecCore:
         rng = np.random.default_rng(3)
         ys = [random_pd(rng, d) for d in problem.block_dims]
         z_invs = [np.linalg.inv(random_pd(rng, d)) for d in problem.block_dims]
-        y_stacks, z_stacks = cons.stack(ys), cons.stack(z_invs)
+        y_stack, z_stack = cons.stack(ys), cons.stack(z_invs)
         full = np.zeros((len(keep), len(keep)))
-        for group, y_stack, z_stack in zip(cons.groups, y_stacks, z_stacks):
-            parts = group.schur_parts(y_stack, z_stack)
-            for k, rows, got in zip(group.blocks, group.rows, parts):
-                dense = [problem.dense_matrix(problem.constraints[row])[k] for row in keep]
-                # rows left out of the block are zero on it
-                left_out = np.setdiff1d(np.arange(len(keep)), rows)
-                assert all(not dense[row].any() for row in left_out)
-                stack = np.array([dense[row] for row in rows])
-                # S_ij = tr(C_i Y C_j Z^-1), one dense product per row pair
-                flat = stack.reshape(len(stack), -1)
-                ref = flat @ (ys[k] @ stack @ z_invs[k]).reshape(len(stack), -1).T
-                assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
-                full[np.ix_(rows, rows)] += ref
-        s = cons.schur(y_stacks, z_stacks)
+        parts = list(cons.schur_parts(y_stack, z_stack))
+        assert len(parts) == len(problem.block_dims)
+        for k, (rows, got) in enumerate(zip(cons.rows, parts)):
+            dense = [problem.dense_matrix(problem.constraints[row])[k] for row in keep]
+            # rows left out of the block are zero on it
+            left_out = np.setdiff1d(np.arange(len(keep)), rows)
+            assert all(not dense[row].any() for row in left_out)
+            stack = np.array([dense[row] for row in rows])
+            # S_ij = tr(C_i Y C_j Z^-1), one dense product per row pair
+            flat = stack.reshape(len(stack), -1)
+            ref = flat @ (ys[k] @ stack @ z_invs[k]).reshape(len(stack), -1).T
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            full[np.ix_(rows, rows)] += ref
+        s = cons.schur(y_stack, z_stack)
         assert s.shape == (len(keep), len(keep))
         assert np.array_equal(s, s.T)
         # every block's part lands on its own rows of the assembled matrix
@@ -262,7 +307,10 @@ class TestSvecCore:
             xs.append(g + g.T)
         y = rng.standard_normal(len(keep))
         ax = cons.a_of(cons.stack(xs))
-        aty = cons.unstack(cons.at_of(y))
+        aty_stack = cons.at_of(y)
+        # A^T(y) is zero on the padding
+        assert np.array_equal(aty_stack, cons.stack(cons.unstack(aty_stack)))
+        aty = cons.unstack(aty_stack)
         lhs = float(ax @ y)
         rhs = sum(float((x * w).sum()) for x, w in zip(xs, aty))
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -301,11 +349,14 @@ def random_sym(rng, dim):
     return g + g.T
 
 
+def padded(dims):
+    """The constraint operator of a problem with blocks ``dims`` and no
+    rows, for its padded stack layout."""
+    return _SvecConstraints(SdpProblem(dims, [], [], {}), [])
+
+
 class TestStackedSteps:
     DIMS = (1, 3, 1, 2, 3, 1)
-
-    def stacked(self, mats):
-        return [np.stack([mats[k] for k in g]) for g in _dim_groups(self.DIMS)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_block_reference(self, seed):
@@ -318,14 +369,25 @@ class TestStackedSteps:
         dys[seed % len(self.DIMS)] = random_pd(rng, self.DIMS[seed % len(self.DIMS)])
         if seed == 0:
             dzs = [random_pd(rng, d) for d in self.DIMS]
-        chols = [np.concatenate(p) for p in zip(self.stacked(y_chols), self.stacked(z_chols))]
-        deltas = [np.concatenate(p) for p in zip(self.stacked(dys), self.stacked(dzs))]
+        cons = padded(self.DIMS)
+        chols = np.concatenate([cons.stack(y_chols) + cons.pad, cons.stack(z_chols) + cons.pad])
+        deltas = np.concatenate([cons.stack(dys), cons.stack(dzs)])
         expected = [_max_step(dys, y_chols), _max_step(dzs, z_chols)]
-        assert _max_steps(deltas, chols) == expected
+        assert _max_steps(deltas, np.linalg.inv(chols)) == pytest.approx(expected, rel=1e-10)
         assert (expected[1] == np.inf) == (seed == 0)
 
-    def test_groups_in_order_of_first_appearance(self):
-        assert _dim_groups(self.DIMS) == [[0, 2, 5], [1, 4], [3]]
+    def test_padded_factors_are_exact(self):
+        # Cholesky of Y + P is diag(L, I), and its inverse diag(L^-1, I),
+        # to the last bit on the padding
+        cons = padded(self.DIMS)
+        rng = np.random.default_rng(9)
+        blocks = [random_pd(rng, d) for d in self.DIMS]
+        chol = np.linalg.cholesky(cons.stack(blocks) + cons.pad)
+        inv = np.linalg.inv(chol)
+        for k, d in enumerate(self.DIMS):
+            for mat in (chol, inv):
+                assert np.array_equal(mat[k] - cons.stack(cons.unstack(mat))[k], cons.pad[k])
+            assert np.allclose(chol[k, :d, :d], np.linalg.cholesky(blocks[k]), rtol=1e-13)
 
 
 class TestInterleavedBlocks:
@@ -368,6 +430,34 @@ class TestInterleavedBlocks:
             dense = problem.dense_matrix(entries)
             value = sum(float((c * x).sum()) for c, x in zip(dense, sol.primal_blocks))
             assert value == pytest.approx(b, abs=1e-7)
+
+    def test_padding_stays_zero(self, data, monkeypatch):
+        """Every iterate and both directions are exactly zero off their
+        blocks' corners of the padded stack, at every iteration."""
+        problem = self.problem(data, range(len(self.DIMS)))
+        cons = padded(problem.block_dims)
+        off = cons.stack([np.ones((d, d)) for d in self.DIMS]) == 0
+        seen = {"vdot": 0, "steps": 0}
+        vdot, max_steps = np.vdot, sdp._max_steps
+
+        def checked_vdot(x, w):
+            # pobj, the gap and the affine gap: C0, Y, Z and trial iterates
+            assert not x[off].any() and not w[off].any()
+            seen["vdot"] += 1
+            return vdot(x, w)
+
+        def checked_steps(deltas, chol_invs):
+            # [dY; dZ], predictor and corrector
+            assert not deltas[np.concatenate([off, off])].any()
+            seen["steps"] += 1
+            return max_steps(deltas, chol_invs)
+
+        monkeypatch.setattr(np, "vdot", checked_vdot)
+        monkeypatch.setattr(sdp, "_max_steps", checked_steps)
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert seen["steps"] == 2 * (sol.iterations - 1)
+        assert seen["vdot"] >= 3 * (sol.iterations - 1)
 
     def test_block_order_does_not_change_objective(self, data):
         base = solve(self.problem(data, range(len(self.DIMS))))
