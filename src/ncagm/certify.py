@@ -290,11 +290,7 @@ def farkas_check(problem, cert, tolerance=1e-6):
             f"certificate indexes {y.shape[0]} constraints, "
             f"problem has {problem.num_constraints}"
         )
-    max_entry = max(
-        (abs(v) for entries in [*problem.constraints, problem.objective]
-         for v in entries.values()),
-        default=0.0,
-    )
+    max_entry = float(np.abs(problem.entries.value).max(initial=0.0))
     defect = psd_defect_of(problem, cert.y0, y)
     scale = (abs(cert.y0) + float(np.abs(y).sum())) * max_entry
     if defect > tolerance * scale:

@@ -86,41 +86,6 @@ def localizing_entry(basis, i, a, b):
     return NCPolynomial(n, terms)
 
 
-def _coefficient_rows(n, d, basis):
-    """Full-coordinate constraint coefficients: for each word w of degree
-    <= 2d+1, the map (block i, a, b) -> coefficient of w in
-    rev(beta_a) l_i beta_b.  Returns (words, rows)."""
-    words = words_up_to(n, 2 * d + 1)
-    windex = {w: k for k, w in enumerate(words)}
-    rows = [dict() for _ in words]
-
-    def bump(word, coord, value):
-        row = rows[windex[word]]
-        row[coord] = row.get(coord, 0) + value
-
-    for a, wa in enumerate(basis.words):
-        ra = wa[::-1]
-        for b, wb in enumerate(basis.words):
-            for i in range(1, n + 1):
-                bump(ra + (i,) + wb, (i, a, b), 1)
-            bump(ra + wb, (n + 1, a, b), n)
-            for j in range(1, n + 1):
-                bump(ra + (j,) + wb, (n + 1, a, b), -1)
-    return words, rows
-
-
-def _fold(full_row, unit_word, lam_coeff):
-    """Standard-form data matrix for one word: C = [unit]*E00 - Loc, stored
-    as upper-triangle entries in the SDPA both-mirror-entries convention."""
-    entry = {}
-    if lam_coeff:
-        entry[(0, 0, 0)] = float(lam_coeff)
-    for (blk, a, b), c in full_row.items():
-        key = (blk, a, b) if a <= b else (blk, b, a)
-        entry[key] = entry.get(key, 0.0) - float(c) * (1.0 if a == b else 0.5)
-    return {k: v for k, v in entry.items() if v != 0.0}
-
-
 def _check_target(m, n, sign):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -133,7 +98,8 @@ def _target_rhs(m, n, sign, words):
     words_up_to(n, k) for some k >= m: minus sign times each word's
     coefficient in the distinct-product sum.  A word's index there is
     the number whose bijective base-n digits (1..n, first most
-    significant) are its letters."""
+    significant) are its letters, so that the word u v has index
+    index(u) * n**len(v) + index(v)."""
     rhs = [-float(sign) * 0.0] * len(words)
     for word, coeff in distinct_product_sum(m, n).terms.items():
         index = 0
@@ -145,15 +111,41 @@ def _target_rhs(m, n, sign, words):
 
 def assemble_sdp(m, n, sign):
     """Standard-form SDP for the lambda problem (sign -1: lambda_1 problem,
-    sign +1: lambda_2 problem), with d = m // 2."""
+    sign +1: lambda_2 problem), with d = m // 2.
+
+    Row k is the word of index k (see _target_rhs), and its data matrix is
+    [unit word] E_00 minus the coefficients of the word in the
+    rev(beta_a) l_i beta_b, folded onto a <= b.  Basis index a is the
+    index of beta_a, so rev(beta_a) i beta_b has index
+    (rev(a) * n + i) * n**|beta_b| + b: block i has 1 there and block n+1
+    has -1, and block n+1 has n on rev(beta_a) beta_b.
+    """
     _check_target(m, n, sign)
     d = m // 2
-    basis = monomial_basis(n, d)
-    words, rows = _coefficient_rows(n, d, basis)
-    constraints = [_fold(row, w, 1.0 if w == () else 0.0) for w, row in zip(words, rows)]
+    q = monomial_basis(n, d).size
+    words = words_up_to(n, 2 * d + 1)
+    rev = _word_perms(n, d, [])[-1]
+    power = np.repeat(n ** np.arange(d + 1), n ** np.arange(d + 1))  # n**|beta_b|
+    a, b = np.divmod(np.arange(q * q), q)
+    half = np.where(a == b, 1.0, 0.5)
+    letter = np.arange(1, n + 1)[:, None]
+    with_letter = ((rev[a] * n + letter) * power[b] + b).ravel()
+    # the lambda entry of the unit word, then letter blocks, then block n+1
+    row = np.concatenate([[0], with_letter, with_letter, rev[a] * power[b] + b])
+    blk = np.concatenate([[0], np.repeat(letter, q * q), np.full((n + 1) * q * q, n + 1)])
+    i, j = (np.append(0, np.tile(x, 2 * n + 1)) for x in (np.minimum(a, b), np.maximum(a, b)))
+    val = np.concatenate([[1.0], np.tile(-half, n), np.tile(half, n), -n * half])
+    shape = (len(words), n + 2, q, q)
+    # (a, b) and (b, a) fall on one key when the word is a palindrome
+    key, slot = np.unique(np.ravel_multi_index((row, blk, i, j), shape), return_inverse=True)
+    val = np.bincount(slot, weights=val)
+    row, *entry = (x.tolist() for x in np.unravel_index(key[val != 0.0], shape))
+    constraints = [{} for _ in words]
+    for r, entry, v in zip(row, zip(*entry), val[val != 0.0].tolist()):
+        constraints[r][entry] = v
     rhs = _target_rhs(m, n, sign, words)
 
-    block_dims = (1,) + (basis.size,) * (n + 1)
+    block_dims = (1,) + (q,) * (n + 1)
     meta = {"m": m, "n": n, "sign": sign, "d": d}
     return SdpProblem(block_dims, constraints, rhs, {(0, 0, 0): 1.0}, meta)
 
@@ -398,7 +390,8 @@ def symmetry_reduce(problem):
     cperms = _coordinate_perms(n, q, sigmas, [perm[:q] for perm in wperms[:-1]])
     size = len(cperms[-1])
 
-    row, blk, a, b, val = problem.constraint_arrays()
+    e = problem.entries[problem.entries.matrix > 0]
+    row, blk, a, b, val = e.matrix - 1, e.block, e.i, e.j, e.value
     coord = np.where(blk == 0, size, ((blk - 1) * q + a) * q + b)
     _check_invariance(problem.rhs, row, coord, val, wperms[:-1], cperms[:-1], cperms[-1], words)
 

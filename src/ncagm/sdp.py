@@ -8,7 +8,12 @@ The primal problem is
 
 with symmetric data matrices stored sparsely as upper-triangle coordinate
 maps {(block, row, col): value}, row <= col, each value standing for both
-mirror entries (the SDPA sparse convention).
+mirror entries (the SDPA sparse convention).  A problem holds one such
+dict per constraint row and one for the objective.  Its construction walks
+them once, to validate them and to flatten them into ``entries``, one
+read-only record array in the SDPA entry layout; every later reader (the
+solver, the symmetry reduction, the PSD defect, the Farkas check and the
+SDPA writer) reads that record, not the dicts.
 
 The solver is a primal-dual path-following method with a Mehrotra-style
 predictor-corrector and the HKM search direction.  Each block keeps its
@@ -34,7 +39,6 @@ call outweighs its arithmetic.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -52,6 +56,10 @@ class SdpProblem:
     rhs: list
     objective: dict
     meta: dict = field(default_factory=dict)
+    # read-only record array, fields matrix (0: the objective, k + 1: row k),
+    # block, i, j and value, sorted by (matrix, block, i, j); built from
+    # constraints and objective at construction, which are not read again
+    entries: np.recarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.block_dims = tuple(int(d) for d in self.block_dims)
@@ -63,17 +71,36 @@ class SdpProblem:
             raise SdpError("constraint/right-hand-side length mismatch")
         if not np.isfinite(np.asarray(self.rhs, dtype=float)).all():
             raise SdpError("right-hand side values must be finite")
-        dims, count = self.block_dims, len(self.block_dims)
-        data = list(self.constraints) + [self.objective]
-        for entries in data:
-            for blk, i, j in entries:
-                if not 0 <= blk < count:
-                    raise SdpError(f"block index {blk} out of range")
-                if not 0 <= i <= j < dims[blk]:
-                    raise SdpError(f"entry ({i},{j}) out of range for block of dim {dims[blk]}")
-        values = np.fromiter(chain.from_iterable(e.values() for e in data), dtype=float)
+        data = [*self.constraints, self.objective]
+        counts = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+        keys = np.fromiter(chain.from_iterable(chain.from_iterable(data)), dtype=np.intp)
+        if len(keys) != 3 * counts.sum():
+            raise SdpError("entry keys must be (block, i, j) triples")
+        blk, i, j = keys.reshape(-1, 3).T
+        dims = np.array(self.block_dims)
+        bad_block = (blk < 0) | (blk >= len(dims))
+        dim = dims[np.where(bad_block, 0, blk)]
+        bad = np.flatnonzero(bad_block | (i < 0) | (i > j) | (j >= dim))
+        if len(bad):
+            t = bad[0]  # the first in walk order
+            if bad_block[t]:
+                raise SdpError(f"block index {blk[t]} out of range")
+            raise SdpError(f"entry ({i[t]},{j[t]}) out of range for block of dim {dim[t]}")
+        values = np.fromiter(chain.from_iterable(e.values() for e in data), dtype=float,
+                             count=len(blk))
         if not np.isfinite(values).all():
             raise SdpError("constraint and objective values must be finite")
+        # the objective, walked last, is matrix 0; one int64 key sorts more
+        # than ten times faster than np.lexsort, and overflows only on
+        # problems far larger than the solver's padded (K, D, D) stack
+        matrix = np.repeat((np.arange(len(data)) + 1) % len(data), counts)
+        span = max(self.block_dims)
+        if len(data) * len(dims) * span * span >= 2 ** 63:
+            raise SdpError("problem too large to index its entries in int64")
+        order = np.argsort(((matrix * len(dims) + blk) * span + i) * span + j, kind="stable")
+        self.entries = np.rec.fromarrays([x[order] for x in (matrix, blk, i, j, values)],
+                                         names="matrix,block,i,j,value")
+        self.entries.flags.writeable = False
 
     @property
     def num_constraints(self):
@@ -92,24 +119,12 @@ class SdpProblem:
         """Number of scalar unknowns across all blocks (sum of squared dims)."""
         return sum(d * d for d in self.block_dims)
 
-    def constraint_arrays(self, rows=None):
-        """The entries of the constraint rows ``rows`` (default: all, in
-        order) as flat arrays (r, block, i, j, value), where r is the
-        position of the entry's row within ``rows``."""
-        rows = range(self.num_constraints) if rows is None else rows
-        data = [self.constraints[k] for k in rows]
-        count = sum(len(entries) for entries in data)
-        keys = np.fromiter(chain.from_iterable(chain.from_iterable(data)),
-                           dtype=np.intp, count=3 * count).reshape(count, 3)
-        values = np.fromiter(chain.from_iterable(e.values() for e in data),
-                             dtype=float, count=count)
-        r = np.repeat(np.arange(len(data)), [len(entries) for entries in data])
-        return r, keys[:, 0], keys[:, 1], keys[:, 2], values
-
-    def dense_matrix(self, entries):
-        """Expand one sparse symmetric data matrix into dense per-block arrays."""
+    def dense_matrix(self, matrix):
+        """Data matrix number ``matrix`` (0: the objective, k + 1:
+        constraint row k) as dense per-block arrays."""
         blocks = [np.zeros((d, d)) for d in self.block_dims]
-        for (blk, i, j), v in entries.items():
+        lo, hi = np.searchsorted(self.entries.matrix, [matrix, matrix + 1])
+        for _, blk, i, j, v in self.entries[lo:hi].tolist():
             blocks[blk][i, j] = v
             blocks[blk][j, i] = v
         return blocks
@@ -132,8 +147,8 @@ class Solution:
     status: str
     iterations: int
     # (name, detail) per fallback that fired: ("schur_shift", largest shift
-    # relative to the trace scale), ("schur_eig", iterations that used it),
-    # ("best_iterate", whether it upgraded the status to "optimal")
+    # relative to the trace scale), ("best_iterate", whether it upgraded
+    # the status to "optimal")
     fallbacks: tuple = ()
 
 
@@ -141,14 +156,20 @@ def _dedup_rows(problem):
     """Collapse byte-identical constraint rows (word-indexed rows repeat for
     a word and its reversal) and drop empty rows, which read 0 = rhs.
     Returns (kept indices, contradiction flag)."""
+    e = problem.entries
+    # a row's key is the bytes of its slice of the record; adding 0.0 turns
+    # -0.0 into 0.0, so that equal keys mean equal values
+    flat = np.column_stack([e.block, e.i, e.j, (e.value + 0.0).view(np.int64)])
+    data, width = flat.tobytes(), flat.strides[0]
+    cuts = np.searchsorted(e.matrix, np.arange(1, problem.num_constraints + 2)).tolist()
     seen = {}
     keep = []
     contradiction = False
-    for k, (entries, r) in enumerate(zip(problem.constraints, problem.rhs)):
-        if not entries:
+    for k, (lo, hi, r) in enumerate(zip(cuts, cuts[1:], problem.rhs)):
+        if lo == hi:
             contradiction |= r != 0
             continue
-        key = tuple(sorted(entries.items()))
+        key = data[lo * width:hi * width]
         if key in seen:
             if problem.rhs[seen[key]] != r:
                 contradiction = True
@@ -186,7 +207,12 @@ class _SvecConstraints:
     """
 
     def __init__(self, problem, keep):
-        r, blks, i, j, v = problem.constraint_arrays(keep)
+        # each matrix's position in ``keep``: -1 for the objective and for
+        # rows left out
+        pos = np.full(problem.num_constraints + 1, -1)
+        pos[np.asarray(keep, dtype=np.intp) + 1] = np.arange(len(keep))
+        e = problem.entries[pos[problem.entries.matrix] >= 0]
+        r, blks, i, j, v = pos[e.matrix], e.block, e.i, e.j, e.value
         self.dims = problem.block_dims
         d = self.dim = max(self.dims)
         self.m = len(keep)
@@ -332,14 +358,12 @@ class _SchurFactor:
     inverted once, so each solve is two matrix-vector products.
 
     ``shift`` is the diagonal shift that was needed, relative to the trace
-    scale (0.0 for none); ``eig`` is set when even the largest shift failed
-    and the solves fall back to an eigendecomposition."""
+    scale (0.0 for none).  The Schur complement of PD iterates is PSD, so a
+    shift of 100 times its mean diagonal factors any finite one; when even
+    that fails, the LinAlgError propagates."""
 
     def __init__(self, s):
         self.s = s
-        self.shift = 0.0
-        self.chol_inv = None
-        self.eig = None
         scale = max(float(np.trace(s)) / max(s.shape[0], 1), 1e-300)
         shift = 0.0
         while True:
@@ -349,25 +373,12 @@ class _SchurFactor:
             except np.linalg.LinAlgError:
                 shift = 1e-14 * scale if shift == 0.0 else 100.0 * shift
                 if shift > 1e2 * scale:
-                    warnings.warn(
-                        "Schur complement could not be stabilized",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    w, v = np.linalg.eigh(s)
-                    thresh = 1e-12 * max(w.max(), 1e-300)
-                    self.eig = (
-                        v, np.where(w > thresh, 1.0 / np.maximum(w, thresh), 0.0)
-                    )
-                    return
+                    raise
         self.shift = shift / scale
         self.chol_inv = _tril_inverse(chol)
 
     def _solve_once(self, rhs):
-        if self.chol_inv is not None:
-            return self.chol_inv.T @ (self.chol_inv @ rhs)
-        v, winv = self.eig
-        return v @ (winv * (v.T @ rhs))
+        return self.chol_inv.T @ (self.chol_inv @ rhs)
 
     def solve(self, rhs):
         # refinement keeps the computed direction accurate once the Schur
@@ -406,7 +417,7 @@ def solve(problem, options=None):
     b = np.array([problem.rhs[k] for k in keep], dtype=float)
     cons = _SvecConstraints(problem, keep)
     a_of, at_of, pad = cons.a_of, cons.at_of, cons.pad
-    c0 = cons.stack(problem.dense_matrix(problem.objective))
+    c0 = cons.stack(problem.dense_matrix(0))
     norm_c = cons.max_row_norm()
     alpha0 = 1.0 + (float(np.abs(b).max()) if m else 0.0) + max(norm_c, float(np.linalg.norm(c0)))
 
@@ -423,7 +434,6 @@ def solve(problem, options=None):
     best_it = 0
     stall = 0
     max_shift = 0.0
-    eig_iterations = 0
 
     for it in range(opts.max_iterations):
         iterations = it
@@ -475,20 +485,18 @@ def solve(problem, options=None):
         try:
             # the padded factors are diag(L, I), exactly
             chols = np.linalg.cholesky(np.concatenate([ys, zs]) + pads)
+            # [L(Y)^-1; L(Z)^-1]; numpy 1.x reads a (d, d) right-hand side
+            # against a stack as a stack of vectors, so the identity is
+            # broadcast explicitly
+            chol_invs = np.linalg.solve(chols, eye)
+            # Z^-1 by a second solve: the product L^-T L^-1 rounds differently
+            # and sends the near-degenerate (4,4,+1) solve to its best iterate
+            z_invs = _sym(np.linalg.solve(_t(chols[len(ys):]), chol_invs[len(ys):])) - pad
+            factor = _SchurFactor(cons.schur(ys, z_invs))
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        # [L(Y)^-1; L(Z)^-1]; numpy 1.x reads a (d, d) right-hand side
-        # against a stack as a stack of vectors, so the identity is
-        # broadcast explicitly
-        chol_invs = np.linalg.solve(chols, eye)
-        # Z^-1 by a second solve: the product L^-T L^-1 rounds differently
-        # and sends the near-degenerate (4,4,+1) solve to its best iterate
-        z_invs = _sym(np.linalg.solve(_t(chols[len(ys):]), chol_invs[len(ys):])) - pad
-
-        factor = _SchurFactor(cons.schur(ys, z_invs))
         max_shift = max(max_shift, factor.shift)
-        eig_iterations += factor.eig is not None
 
         mu = gap / nu
         hyrz = _sym(ys @ rd @ z_invs)
@@ -522,8 +530,6 @@ def solve(problem, options=None):
     fallbacks = []
     if max_shift:
         fallbacks.append(("schur_shift", max_shift))
-    if eig_iterations:
-        fallbacks.append(("schur_eig", eig_iterations))
     if status in ("numerical_failure", "max_iterations") and best is not None:
         # fall back to the most accurate iterate seen; accept it as optimal
         # when it sits within a small factor of the requested tolerance and
@@ -558,15 +564,18 @@ class FarkasCertificate:
 
 def psd_defect_of(problem, y0, y):
     """Largest eigenvalue of y0*C0 + sum y_i*C_i over all blocks."""
-    blocks = [y0 * blk for blk in problem.dense_matrix(problem.objective)]
-    for k, entries in enumerate(problem.constraints):
-        yk = y[k]
-        if yk == 0.0:
-            continue
-        for (blk, i, j), v in entries.items():
-            blocks[blk][i, j] += yk * v
-            if i != j:
-                blocks[blk][j, i] += yk * v
+    blocks = [y0 * blk for blk in problem.dense_matrix(0)]
+    e = problem.entries
+    # y_k times each entry of row k, added in row order; the objective and
+    # rows with y_k = 0 add nothing
+    coef = np.concatenate([[0.0], y])[e.matrix]
+    on = coef != 0.0
+    for k, x in enumerate(blocks):
+        at = on & (e.block == k)
+        i, j, add = e.i[at], e.j[at], coef[at] * e.value[at]
+        off = i != j
+        np.add.at(x, (np.concatenate([i, j[off]]), np.concatenate([j, i[off]])),
+                  np.concatenate([add, add[off]]))
     return max(float(np.linalg.eigvalsh(blk).max()) for blk in blocks)
 
 

@@ -39,14 +39,8 @@ def render_sdpa(problem):
     out.write(f"{problem.num_blocks}\n")
     out.write(" ".join(str(d) for d in problem.block_dims) + "\n")
     out.write(" ".join(_fmt(v) for v in problem.rhs) + "\n")
-
-    def emit(matno, entries):
-        for (blk, i, j) in sorted(entries):
-            out.write(f"{matno} {blk + 1} {i + 1} {j + 1} {_fmt(entries[(blk, i, j)])}\n")
-
-    emit(0, problem.objective)
-    for k, entries in enumerate(problem.constraints):
-        emit(k + 1, entries)
+    for matno, blk, i, j, v in problem.entries.tolist():
+        out.write(f"{matno} {blk + 1} {i + 1} {j + 1} {_fmt(v)}\n")
     return out.getvalue()
 
 

@@ -1,6 +1,7 @@
 """SDPA sparse format I/O: round-trip identity, comment handling, and
 malformed-input diagnostics with line numbers."""
 
+import hashlib
 import io
 import random
 
@@ -101,6 +102,49 @@ class TestRoundTrip:
         assert lines[0] == "3"
         assert lines[1] == "4"
         assert lines[2].split() == ["1", "1", "1", "1"]
+
+
+# sha256 of render_sdpa(assemble_sdp(m, n, sign)), as written by the
+# earlier assembly that walked word tuples; reduced exports are not pinned,
+# since they pass through a LAPACK solve
+FULL_EXPORT_SHA256 = {
+    (1, 1, +1): "0a02b2cf21a3419bb33471c28e7ac98f6b7ada57aa867b3fa2abf58f2077bb1b",
+    (1, 1, -1): "dec08bc3fd05c7fac6377a5dfaf89ddd30e7652711e680b954c281aaa4567ef3",
+    (1, 2, +1): "496983aa8bcd16b297b5ab166e7e73d4807889917659b3c9c0bd9f4a0a36876c",
+    (1, 2, -1): "264fa801e05469faf5edcffaf4bf579fc7ff1d09f111ce0380f94c09796a0969",
+    (2, 2, +1): "6b12d98974151d254ba474cc6addb615cd6ea51621b145048b624d2fc8810c23",
+    (2, 2, -1): "f11a3cfb68dece17359053247b3722986f1665a9b42cfd4f930018b600d3dfd0",
+    (1, 3, +1): "c7f409f110aa32cab1b1d2af0ed7dfa4c9cda0bf087658744cec7440b56ffc41",
+    (1, 3, -1): "a4488bb49d4cb02b996515008efd81e12918f3d079c0040a32239942a9648b2a",
+    (2, 3, +1): "a73b15c470c80941e4428facb0879ef2af4cbab890613249856048345eb1134d",
+    (2, 3, -1): "64c5845aef4dff21abecd1fce4f4dbfa432cc50ebbdcbe2fde13097b2fd9044d",
+    (3, 3, +1): "527e185fbf4d428e367c9ebfb1b71d428212673c56c9f70d761e4157819318e2",
+    (3, 3, -1): "9c2e99e3e3bf9237608c8194a152b650f039546cc8a10bfb9dd2dc4ceb411a75",
+    (1, 4, +1): "92330ea67a28e69a06f1fd18d50bab9dffa488cbc515e304f306b1e4f63b52ea",
+    (1, 4, -1): "ead7c257e0a816278714c3b45a5ce825a18f293440627cede63b48017eb33a80",
+    (2, 4, +1): "64ab7d8a685a91312d5daa040dd7db0b7480e8825b27bbf1838c5034aef77347",
+    (2, 4, -1): "359c5303fe7c5825d6332363ce740052a3d152372f7842aaa0a69694ea5bb1a8",
+    (3, 4, +1): "b1d6d917a63be93b8cf3a2c039a44b61af7cb647ad958ce71df90af90dfcb7b9",
+    (3, 4, -1): "457d46c064d8a41f0aa76c2ad7daf2738beccbd85b07837f11777cdea3b762f8",
+    (4, 4, +1): "f2a642bad7434afe32f524a821343ba30cdfbdb2091541eba61ed233b0db197b",
+    (4, 4, -1): "49f3859c864de278899b3cf5307adfc3ce701c4ef05e8a0029efe90aa611efa0",
+    (1, 5, +1): "d14da064f3c3a0b105b58510f0373e36dd628cea95cf401622c08de7f247e703",
+    (1, 5, -1): "8fad676167db199ec36db4669409531e5b0c5438b312a98fc6cc720efd659063",
+    (2, 5, +1): "06b2041946827bb532accc548e25bea82222f7ce9ceefe0a411f2077f6bf271a",
+    (2, 5, -1): "fe305fadbd4be91c4ea6361d7f4435735e3309be15ca59d8cd6f5b6c90ea42fd",
+    (3, 5, +1): "68ed826425b21253a184be24f586fe2b53d5a88cfdbb5b22266bd9da66832317",
+    (3, 5, -1): "604df794b2f21f9f95286cb321f2cdc3ecfd1936a029836b80e67e859929b19e",
+    (4, 5, +1): "414e59ac064b50608f7321cfec01f50095048f74ebfd6987cdd4c6391f0654c0",
+    (4, 5, -1): "a0fd218945fb2b132fada8a5055e6ac761567e938975df5cdd33f2dbb26da0b9",
+    (5, 5, +1): "aeb60c43d93ca7756765adfef8926cb424e2f809f742fb8dc27a193abcdd5856",
+    (5, 5, -1): "2e2cc0cc219c03e8068f569197d9ddbbe7b5a81e1c7899726634ededba4d3888",
+}
+
+
+@pytest.mark.parametrize("m,n,sign", sorted(FULL_EXPORT_SHA256))
+def test_full_export_pinned(m, n, sign):
+    text = render_sdpa(assemble_sdp(m, n, sign))
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_EXPORT_SHA256[(m, n, sign)]
 
 
 class TestParsing:

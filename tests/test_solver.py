@@ -13,6 +13,7 @@ from ncagm import (
     SolverOptions,
     assemble_sdp,
     extract_farkas,
+    retarget,
     solve,
     symmetry_reduce,
 )
@@ -23,7 +24,6 @@ from ncagm.sdp import (
     SdpError,
     _dedup_rows,
     _max_steps,
-    _SchurFactor,
     _SvecConstraints,
     _sym,
     _tril_inverse,
@@ -67,6 +67,15 @@ def random_lp(rng):
     objective = {(col, 0, 0): c[col] for col in range(k)}
     problem = SdpProblem(dims, constraints, list(b), objective)
     return problem, best
+
+
+def dense(problem, entries):
+    """Per-block dense arrays of one {(block, i, j): value} data matrix, read
+    from the dict rather than the problem's flat record."""
+    blocks = [np.zeros((d, d)) for d in problem.block_dims]
+    for (blk, i, j), v in entries.items():
+        blocks[blk][i, j] = blocks[blk][j, i] = v
+    return blocks
 
 
 class TestLpOracle:
@@ -234,6 +243,93 @@ class TestProblemChecks:
         assert problem.num_constraints == 2
 
 
+class TestEntryRecord:
+    """The flat record of the problem data, which every reader uses."""
+
+    def test_lists_exactly_the_dict_entries(self):
+        problem = SdpProblem((2, 1), [{(1, 0, 0): 4.0, (0, 0, 1): -1.5}, {}, {(0, 1, 1): 2}],
+                             [1.0, 0.0, 3.0], {(1, 0, 0): -0.5, (0, 0, 0): 1.0})
+        # (matrix, block, i, j, value), the objective as matrix 0, sorted
+        assert problem.entries.tolist() == [
+            (0, 0, 0, 0, 1.0), (0, 1, 0, 0, -0.5),
+            (1, 0, 0, 1, -1.5), (1, 1, 0, 0, 4.0),
+            (3, 0, 1, 1, 2.0),
+        ]
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_matches_the_dicts_of_an_assembled_problem(self, reduced):
+        problem = assemble_sdp(3, 3, -1)
+        if reduced:
+            problem, _ = symmetry_reduce(problem)
+        data = [problem.objective, *problem.constraints]
+        walk = sorted((k, *key, v) for k, entries in enumerate(data) for key, v in entries.items())
+        assert problem.entries.tolist() == walk
+        for k, entries in enumerate(data):
+            for got, ref in zip(problem.dense_matrix(k), dense(problem, entries)):
+                assert np.array_equal(got, ref)
+
+    def test_readers_match_dict_references(self):
+        problem = assemble_sdp(3, 3, 1)
+        # row dedup keyed by the dicts themselves
+        seen, keep = set(), []
+        for k, entries in enumerate(problem.constraints):
+            key = tuple(sorted(entries.items()))
+            if key not in seen:
+                seen.add(key)
+                keep.append(k)
+        assert _dedup_rows(problem) == (keep, False)
+        # y0*C0 + sum y_k C_k accumulated entry by entry in row order, with
+        # some y_k = 0; the record's sum adds in the same order
+        y = np.random.default_rng(5).standard_normal(problem.num_constraints)
+        y[::3] = 0.0
+        blocks = [-1.0 * blk for blk in dense(problem, problem.objective)]
+        for yk, entries in zip(y, problem.constraints):
+            if yk != 0.0:
+                for (blk, i, j), v in entries.items():
+                    blocks[blk][i, j] += yk * v
+                    if i != j:
+                        blocks[blk][j, i] += yk * v
+        ref = max(float(np.linalg.eigvalsh(blk).max()) for blk in blocks)
+        assert sdp.psd_defect_of(problem, -1.0, y) == ref
+
+    def test_entry_key_overflow_rejected(self):
+        with pytest.raises(SdpError, match="too large"):
+            SdpProblem((2 ** 31,), [{(0, 0, 0): 1.0}], [1.0], {})
+
+    def test_writing_raises(self):
+        entries = assemble_sdp(2, 2, 1).entries
+        with pytest.raises(ValueError):
+            entries.value[0] = 2.0
+        with pytest.raises(ValueError):
+            entries[0] = (0, 0, 0, 0, 2.0)
+
+    def test_retargeted_problem_shares_record(self):
+        full = assemble_sdp(3, 4, 1)
+        reduced, _ = symmetry_reduce(full)
+        for problem in (full, reduced):
+            assert retarget(problem, 2, -1).entries is problem.entries
+
+    @pytest.mark.parametrize("constraints,objective,message", [
+        ([{(0, 0, 0): 1.0}, {(2, 0, 0): 1.0}], {}, r"^block index 2 out of range$"),
+        ([{}], {(-1, 0, 0): 1.0}, r"^block index -1 out of range$"),
+        ([{(1, 0, 2): 1.0}], {}, r"^entry \(0,2\) out of range for block of dim 2$"),
+        ([{(0, -1, 0): 1.0}], {}, r"^entry \(-1,0\) out of range for block of dim 1$"),
+        # the first bad entry in walk order, constraint rows before the
+        # objective, is the one reported
+        ([{(1, 1, 0): 1.0}], {(3, 0, 0): 1.0}, r"^entry \(1,0\) out of range for block of dim 2$"),
+        ([{(0, 0): 1.0}], {}, r"^entry keys must be \(block, i, j\) triples$"),
+    ])
+    def test_bad_keys_rejected(self, constraints, objective, message):
+        with pytest.raises(SdpError, match=message):
+            SdpProblem((1, 2), constraints, [0.0] * len(constraints), objective)
+
+    def test_rows_equal_up_to_signed_zero_deduplicated(self):
+        problem = SdpProblem((1, 1), [{(0, 0, 0): 1.0, (1, 0, 0): 0.0},
+                                      {(0, 0, 0): 1.0, (1, 0, 0): -0.0}],
+                             [1.0, 1.0], {(0, 0, 0): 1.0})
+        assert _dedup_rows(problem) == ([0], False)
+
+
 class TestFarkas:
     def test_infeasible_target_2_2(self):
         problem = assemble_sdp(2, 2, 1)
@@ -280,11 +376,11 @@ class TestSvecCore:
         parts = list(cons.schur_parts(y_stack, z_stack))
         assert len(parts) == len(problem.block_dims)
         for k, (rows, got) in enumerate(zip(cons.rows, parts)):
-            dense = [problem.dense_matrix(problem.constraints[row])[k] for row in keep]
+            on_block = [dense(problem, problem.constraints[row])[k] for row in keep]
             # rows left out of the block are zero on it
             left_out = np.setdiff1d(np.arange(len(keep)), rows)
-            assert all(not dense[row].any() for row in left_out)
-            stack = np.array([dense[row] for row in rows])
+            assert all(not on_block[row].any() for row in left_out)
+            stack = np.array([on_block[row] for row in rows])
             # S_ij = tr(C_i Y C_j Z^-1), one dense product per row pair
             flat = stack.reshape(len(stack), -1)
             ref = flat @ (ys[k] @ stack @ z_invs[k]).reshape(len(stack), -1).T
@@ -319,8 +415,8 @@ class TestSvecCore:
             assert np.array_equal(mat, mat.T)
         # A(X)_i = tr(C_i X) against the dense data
         for pos, row in enumerate(keep):
-            dense = problem.dense_matrix(problem.constraints[row])
-            ref = sum(float((c * x).sum()) for c, x in zip(dense, xs))
+            ref = sum(float((c * x).sum())
+                      for c, x in zip(dense(problem, problem.constraints[row]), xs))
             assert ax[pos] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [_TRI_LEAF + 1, 3 * _TRI_LEAF + 7])
@@ -427,8 +523,8 @@ class TestInterleavedBlocks:
         assert sol.status == "optimal"
         assert [blk.shape for blk in sol.primal_blocks] == [(d, d) for d in problem.block_dims]
         for entries, b in zip(problem.constraints, problem.rhs):
-            dense = problem.dense_matrix(entries)
-            value = sum(float((c * x).sum()) for c, x in zip(dense, sol.primal_blocks))
+            value = sum(float((c * x).sum())
+                        for c, x in zip(dense(problem, entries), sol.primal_blocks))
             assert value == pytest.approx(b, abs=1e-7)
 
     def test_padding_stays_zero(self, data, monkeypatch):
@@ -467,14 +563,22 @@ class TestInterleavedBlocks:
 
 
 class TestFallbacks:
-    def test_indefinite_schur_uses_eigen_fallback(self):
-        s = np.diag([1.0, 2.0, -1000.0])
-        with pytest.warns(RuntimeWarning, match="could not be stabilized"):
-            factor = _SchurFactor(s)
-        assert factor.eig is not None
-        assert factor.chol_inv is None
-        # the negative eigenvalue is dropped from the pseudo-inverse
-        assert factor.solve(np.array([1.0, 2.0, 3.0])) == pytest.approx([1.0, 1.0, 0.0])
+    def test_unfactorable_schur_ends_numerical_failure(self, monkeypatch):
+        # the block stacks are 3-D; only the Schur complement is 2-D
+        cholesky = np.linalg.cholesky
+
+        def failing(mat):
+            if np.ndim(mat) == 2:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(mat)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        reduced, _ = symmetry_reduce(assemble_sdp(2, 3, 1))
+        sol = solve(reduced)
+        assert sol.status == "numerical_failure"
+        assert sol.iterations == 1
+        # the starting iterate is the only one, and it is not accepted
+        assert sol.fallbacks == (("best_iterate", False),)
 
     def test_dependent_rows_report_schur_shift(self):
         # x = 1 and 2x = 2: consistent, but the Schur complement is singular
