@@ -6,6 +6,18 @@ interior-point method, and verifies sum-of-squares and Farkas certificates
 (the former in exact rational arithmetic).
 """
 
+# sdp comes first: it imports nothing from the package and is its largest
+# module, so when no bytecode is cached it is compiled before numpy's import,
+# which then reuses the compiler's freed memory instead of growing the heap
+from .sdp import (
+    FarkasCertificate,
+    SdpProblem,
+    Solution,
+    SolverOptions,
+    extract_farkas,
+    solve,
+    solve_many,
+)
 from .ncpoly import (
     NCPolynomial,
     Permutation,
@@ -24,14 +36,6 @@ from .compiler import (
     retarget,
     retargeting,
     symmetry_reduce,
-)
-from .sdp import (
-    FarkasCertificate,
-    SdpProblem,
-    Solution,
-    SolverOptions,
-    extract_farkas,
-    solve,
 )
 from .sdpa import SdpaParseError, export_sdpa, import_sdpa, read_sdpa, write_sdpa
 from .certify import (
@@ -68,6 +72,7 @@ __all__ = [
     "SolverOptions",
     "extract_farkas",
     "solve",
+    "solve_many",
     "SdpaParseError",
     "export_sdpa",
     "import_sdpa",

@@ -15,7 +15,8 @@ from itertools import groupby
 
 from . import certify as certify_mod
 from .compiler import assemble_sdp, retargeting, symmetry_reduce
-from .sdp import SolverOptions, extract_farkas, farkas_from_dual, optimal_dual, solve
+from .sdp import (SolverOptions, extract_farkas, farkas_from_dual, optimal_dual, solve,
+                  solve_many)
 from .sdpa import write_sdpa
 
 EXIT_OK = 0
@@ -51,19 +52,12 @@ def _error_row(m, n, error):
     return {"m": m, "n": n, "bound": bound, "error": error, "verdict": "ERROR"}
 
 
-def _table_row(m, n, to_target, args):
-    """The record of row (m, n), whose two lambda problems come from
-    ``to_target``, which retargets a problem of the same n and degree bound
-    m // 2."""
+def _table_row(m, n, sol1, sol2, args):
+    """The record of row (m, n) from the solutions of its two lambda
+    problems."""
     # a verdict slack at solver accuracy would misflag rows where lambda_1
     # sits exactly on the bound, so widen it past the 1e-8 duality gap
     verdict_tol = max(args.tol, 1e-4)
-    options = SolverOptions(tolerance=args.tol)
-    try:
-        sol1 = solve(to_target(m, -1), options)
-        sol2 = solve(to_target(m, +1), options)
-    except Exception as exc:  # noqa: BLE001 - reported in the row
-        return _error_row(m, n, str(exc))
     if sol1.status != "optimal" or sol2.status != "optimal":
         return _error_row(m, n, f"solver status {sol1.status}/{sol2.status}")
     lam1, lam2 = sol1.objective_primal, sol2.objective_primal
@@ -76,12 +70,15 @@ def _table_row(m, n, to_target, args):
 def _table_group(ms, n, args):
     """Records of the rows (m, n) for m in ``ms``, which share n and the
     degree bound d = m // 2 and so every constraint: the first problem is
-    built once and retargeted to each row."""
+    built once and retargeted to each row, and the lambda problems of all
+    rows are solved in one lockstep batch."""
     try:
         to_target = retargeting(_build_problem(ms[0], n, -1, args))
+        sols = iter(solve_many([to_target(m, sign) for m in ms for sign in (-1, +1)],
+                               SolverOptions(tolerance=args.tol)))
     except Exception as exc:  # noqa: BLE001 - reported in the group's rows
         return [_error_row(m, n, str(exc)) for m in ms]
-    return [_table_row(m, n, to_target, args) for m in ms]
+    return [_table_row(m, n, next(sols), next(sols), args) for m in ms]
 
 
 def cmd_table(args):

@@ -34,6 +34,21 @@ factorization, inverse, step-length eigenvalue problem and matrix product
 runs as one batched numpy call per iteration, whatever the block sizes;
 the reduced problems have many small blocks, where the fixed cost of a
 call outweighs its arithmetic.
+
+The same holds across problems.  ``solve_many`` takes problems that share
+one entry record, such as the retargeted copies of one problem, which
+differ only in the right-hand side, and runs them through the loop in
+lockstep: every stack gains a leading problem axis, (B * K, D, D) with
+each problem's K slices in turn, and vectors are (B, M).  The constraint
+data and its row deduplication are built once for the batch.  Each
+problem's arithmetic is the arithmetic of its lone solve, bit for bit:
+every batched call works on each problem's slices by themselves (LAPACK
+per matrix, one BLAS dot or matrix-vector product per problem), and each
+problem keeps its own stopping tests, best iterate, stall count, Schur
+shift and refinement steps.  A problem that stops, or whose factorization
+fails, leaves the batch.  ``solve`` is ``solve_many`` of one problem.
+Batches are split so that their Schur complements stay within
+_SCHUR_BYTES together.
 """
 
 from __future__ import annotations
@@ -86,6 +101,7 @@ class SdpProblem:
             if bad_block[t]:
                 raise SdpError(f"block index {blk[t]} out of range")
             raise SdpError(f"entry ({i[t]},{j[t]}) out of range for block of dim {dim[t]}")
+        del bad_block, dim
         values = np.fromiter(chain.from_iterable(e.values() for e in data), dtype=float,
                              count=len(blk))
         if not np.isfinite(values).all():
@@ -97,9 +113,19 @@ class SdpProblem:
         span = max(self.block_dims)
         if len(data) * len(dims) * span * span >= 2 ** 63:
             raise SdpError("problem too large to index its entries in int64")
-        order = np.argsort(((matrix * len(dims) + blk) * span + i) * span + j, kind="stable")
-        self.entries = np.rec.fromarrays([x[order] for x in (matrix, blk, i, j, values)],
-                                         names="matrix,block,i,j,value")
+        key = matrix * len(dims) + blk
+        key *= span
+        key += i
+        key *= span
+        key += j
+        order = np.argsort(key, kind="stable")
+        del key
+        # field by field, so that one reordered copy exists at a time: the
+        # record of the unreduced n = 5 problems sets the table's peak memory
+        self.entries = np.recarray(len(order), formats=[np.intp] * 4 + [float],
+                                   names="matrix,block,i,j,value")
+        for name, x in zip(self.entries.dtype.names, (matrix, blk, i, j, values)):
+            self.entries[name] = x[order]
         self.entries.flags.writeable = False
 
     @property
@@ -155,7 +181,8 @@ class Solution:
 def _dedup_rows(problem):
     """Collapse byte-identical constraint rows (word-indexed rows repeat for
     a word and its reversal) and drop empty rows, which read 0 = rhs.
-    Returns (kept indices, contradiction flag)."""
+    Returns (kept indices, source), where source[k] is the kept row that row
+    k repeats (k itself when it is kept) and -1 for an empty row."""
     e = problem.entries
     # a row's key is the bytes of its slice of the record; adding 0.0 turns
     # -0.0 into 0.0, so that equal keys mean equal values
@@ -164,46 +191,52 @@ def _dedup_rows(problem):
     cuts = np.searchsorted(e.matrix, np.arange(1, problem.num_constraints + 2)).tolist()
     seen = {}
     keep = []
-    contradiction = False
-    for k, (lo, hi, r) in enumerate(zip(cuts, cuts[1:], problem.rhs)):
+    source = np.full(problem.num_constraints, -1)
+    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
         if lo == hi:
-            contradiction |= r != 0
             continue
-        key = data[lo * width:hi * width]
-        if key in seen:
-            if problem.rhs[seen[key]] != r:
-                contradiction = True
-            continue
-        seen[key] = k
-        keep.append(k)
-    return keep, contradiction
+        source[k] = seen.setdefault(data[lo * width:hi * width], k)
+        if source[k] == k:
+            keep.append(k)
+    return keep, source
 
 
-def _kron_grids(dim, stride):
+def _contradictions(rhs, source):
+    """Per row of ``rhs`` (one problem each), whether a dropped row
+    contradicts it: an empty row with a nonzero rhs, or a repeated row whose
+    rhs differs from that of the row it repeats."""
+    return np.where(source < 0, rhs != 0, rhs != rhs[:, source]).any(axis=1)
+
+
+def _kron_grids(iu, ju, stride):
     """Flat positions, in a matrix of row stride ``stride``, of the index
-    pairs that the symmetric Kronecker product of dim x dim blocks reads
-    in svec coordinates, e.g. ij[p, q] = iu[p] * stride + ju[q]; then the
-    products of the svec half-weights."""
-    iu, ju = np.triu_indices(dim)
+    pairs that the symmetric Kronecker product of two blocks reads in svec
+    coordinates (iu, ju), e.g. ij[p, q] = iu[p] * stride + ju[q]: (ij, ii,
+    jj) in Y and (ji, jj, ii) in Z^-1, the terms paired in that order; then
+    the products of the svec half-weights."""
     half = np.where(iu == ju, 0.5, 0.5 * np.sqrt(2.0))
-    return (np.add.outer(iu * stride, ju), np.add.outer(ju * stride, iu),
-            np.add.outer(iu * stride, iu), np.add.outer(ju * stride, ju),
-            np.multiply.outer(half, half))
+    at_y = np.array([iu, iu, ju])[:, :, None] * stride + np.array([ju, iu, ju])[:, None, :]
+    at_z = np.array([ju, ju, iu])[:, :, None] * stride + np.array([iu, ju, iu])[:, None, :]
+    return at_y, at_z, np.multiply.outer(half, half)
 
 
 class _SvecConstraints:
     """The constraint operator A(X) = (tr(C_i X))_i over the kept rows.
 
-    Block matrices travel as one (K, D, D) stack: block k sits in the
-    leading d_k x d_k corner of slice k, and the rest of the slice, its
-    padding, is zero.  ``pad`` is the identity on each slice's padding.
+    Block matrices travel as one (K, D, D) stack per problem: block k sits
+    in the leading d_k x d_k corner of slice k, and the rest of the slice,
+    its padding, is zero.  ``pad`` is the identity on each slice's padding.
+    B problems travel as their stacks laid end to end, (B * K, D, D), and
+    vectors as (B, M) arrays: ``a_of`` maps such stacks to vectors and
+    ``at_of`` back, each problem on its own.
     svec(X) = scale * X[iu, ju] over the upper triangle of a D x D slice,
     so that svec(X) . svec(W) = <X, W> for symmetric X and W; the svec of
-    block k is its part ``cols[k]``, those positions with ju < d_k.  Block
-    k keeps ``a[k]``, the svec of C_i on the block for the constraint rows
-    ``rows[k]`` that touch it; all other rows are zero on it and are left
-    out.  A block's products with its ``a`` and its Kronecker product run
-    at its own size, so they do not depend on the padding.
+    block k is its part with ju < d_k, which lists the upper triangle of a
+    d_k x d_k block row by row.  Block k keeps ``a[k]``, the svec of C_i on
+    the block for the constraint rows ``rows[k]`` that touch it; all other
+    rows are zero on it and are left out.  A block's products with its
+    ``a`` and its Kronecker product run at its own size, so they do not
+    depend on the padding.
     """
 
     def __init__(self, problem, keep):
@@ -216,27 +249,41 @@ class _SvecConstraints:
         self.dims = problem.block_dims
         d = self.dim = max(self.dims)
         self.m = len(keep)
-        self.pad = np.zeros((len(self.dims), d, d))
-        self.iu, self.ju = np.triu_indices(d)
-        self.scale = np.where(self.iu == self.ju, 1.0, np.sqrt(2.0))
-        self.rows, self.a, self.cols = [], [], []
-        for blk, dim in enumerate(self.dims):
-            self.pad[blk, range(dim, d), range(dim, d)] = 1.0
-            self.cols.append(np.flatnonzero(self.ju < dim))
-            on = blks == blk
-            bi, bj = i[on], j[on]
-            # rows touching the block, and each entry's row among them
-            block_rows, lr = np.unique(r[on], return_inverse=True)
-            a = np.zeros((len(block_rows), dim * (dim + 1) // 2))
-            a[lr, bi * dim - bi * (bi - 1) // 2 + (bj - bi)] = np.where(
-                bi == bj, v[on], np.sqrt(2.0) * v[on])
-            self.rows.append(block_rows)
-            self.a.append(a)
-        self._kron = {dim: _kron_grids(dim, d) for dim in set(self.dims)}
-        self._rows = np.concatenate(self.rows)
+        dims = np.array(self.dims)
+        sizes = dims * (dims + 1) // 2
+        self.pad = np.zeros((len(dims), d, d))
+        self.pad[:, range(d), range(d)] = np.arange(d) >= dims[:, None]
+        # the rows touching each block, block after block, and the place of
+        # each entry's row among them
+        touched, at_row = np.unique(blks * self.m + r, return_inverse=True)
+        cuts = np.searchsorted(touched, np.arange(len(dims) + 1) * self.m)
+        self._rows = touched - np.repeat(np.arange(len(dims)) * self.m, np.diff(cuts))
+        self.rows = np.split(self._rows, cuts[1:-1])
+        self._row_cuts = cuts.tolist()
+        # each entry's svec coordinate in its block, and its flat position
+        # in the blocks' ``a`` laid end to end
+        col = i * dims[blks] - i * (i - 1) // 2 + (j - i)
+        starts = np.cumsum(np.concatenate([[0], np.diff(cuts) * sizes]))
+        flat = np.zeros(starts[-1])
+        flat[starts[blks] + (at_row - cuts[blks]) * sizes[blks] + col] = np.where(
+            i == j, v, np.sqrt(2.0) * v)
+        # each block's own array, as BLAS reads it
+        self.a = [flat[lo:hi].reshape(-1, size).copy()
+                  for lo, hi, size in zip(starts, starts[1:], sizes.tolist())]
+        # the svec coordinates of every block, block after block, as their
+        # flat positions in a (K * D * D) stack, upper and mirrored, and the
+        # weights that make svec(X) . svec(W) = <X, W>
+        iu, ju = np.triu_indices(d)
+        blk, c = np.nonzero(ju < dims[:, None])
+        self._svec_at = (blk * d + iu[c]) * d + ju[c]
+        self._mirror_at = (blk * d + ju[c]) * d + iu[c]
+        self._scale = np.where(iu[c] == ju[c], 1.0, np.sqrt(2.0))
+        self._svec_cuts = np.cumsum(np.concatenate([[0], sizes])).tolist()
+        self._kron = {dim: _kron_grids(iu[ju < dim], ju[ju < dim], d) for dim in set(self.dims)}
+        self._works = {}
         # index grids of each block's rows in the Schur complement; a flat
         # index array would hold sum(len(rows)^2) integers for the solve
-        self._schur_ix = [np.ix_(rows, rows) for rows in self.rows]
+        self._schur_ix = [(slice(None), rows[:, None], rows) for rows in self.rows]
 
     def stack(self, blocks):
         """Per-block matrices as one padded (K, D, D) stack."""
@@ -249,44 +296,84 @@ class _SvecConstraints:
         """The blocks of a padded stack, in block order."""
         return [x[:d, :d].copy() for x, d in zip(mats, self.dims)]
 
-    def smat(self, vecs):
-        out = np.empty((len(vecs), self.dim, self.dim))
-        half = vecs / self.scale
-        out[:, self.iu, self.ju] = half
-        out[:, self.ju, self.iu] = half
-        return out
+    def _work(self, count):
+        """Work arrays of ``count`` problems for ``a_of`` and ``at_of``, with
+        the views of them that each block reads and writes, made once per
+        count: svec coordinates and products by ``a``, then y on each
+        block's rows and products by ``a`` transposed."""
+        if count not in self._works:
+            vecs, parts = np.empty((count, len(self._scale))), np.empty((count, len(self._rows)))
+            coefs, half = np.empty((count, len(self._rows))), np.empty((count, len(self._scale)))
+            cuts = list(zip(self._svec_cuts, self._svec_cuts[1:], self._row_cuts,
+                            self._row_cuts[1:]))
+            self._works[count] = (
+                vecs, parts, [(a, vecs[:, lo:hi, None], parts[:, r_lo:r_hi, None])
+                              for a, (lo, hi, r_lo, r_hi) in zip(self.a, cuts)],
+                # each block's rows, offset by m per problem
+                (self._rows + self.m * np.arange(count)[:, None]).ravel(),
+                coefs, half, [(a, coefs[:, None, r_lo:r_hi], half[:, None, lo:hi])
+                              for a, (lo, hi, r_lo, r_hi) in zip(self.a, cuts)])
+        return self._works[count]
 
     def a_of(self, mats):
-        vecs = self.scale * mats[:, self.iu, self.ju]
-        parts = [a @ v[c] for a, v, c in zip(self.a, vecs, self.cols)]
-        return np.bincount(self._rows, weights=np.concatenate(parts), minlength=self.m)
+        """A(X) of each problem's stack in the (B * K, D, D) array ``mats``:
+        a (B, M) array."""
+        flat = mats.reshape(-1, self.pad.size)
+        vecs, parts, blocks, bins = self._work(len(flat))[:4]
+        # the positions are in range; "clip" spares the copy that the
+        # default mode makes of ``out``
+        np.take(flat, self._svec_at, axis=1, out=vecs, mode="clip")
+        vecs *= self._scale
+        for a, vec, part in blocks:
+            np.matmul(a, vec, out=part)
+        # each row's terms are summed in block order, as for one problem
+        return np.bincount(bins, weights=parts.ravel(),
+                           minlength=len(flat) * self.m).reshape(len(flat), self.m)
 
     def at_of(self, y):
-        vecs = np.zeros((len(self.dims), len(self.iu)))
-        for vec, rows, a, c in zip(vecs, self.rows, self.a, self.cols):
-            vec[c] = y[rows] @ a
-        return self.smat(vecs)
+        """A^T(y) of each row of the (B, M) array ``y``: a (B * K, D, D)
+        array."""
+        coefs, half, blocks = self._work(len(y))[4:]
+        np.take(y, self._rows, axis=1, out=coefs, mode="clip")
+        for a, coef, part in blocks:
+            np.matmul(coef, a, out=part)
+        values = half / self._scale
+        out = np.zeros((len(y), self.pad.size))
+        out[:, self._svec_at] = values
+        out[:, self._mirror_at] = values
+        return out.reshape((-1,) + self.pad.shape[1:])
 
     def max_row_norm(self):
         """Largest Frobenius norm of one constraint matrix on one block."""
         return max(float(np.linalg.norm(a, axis=1).max(initial=0.0)) for a in self.a)
 
     def schur_parts(self, ys, z_invs):
-        """Per block k, rows ``rows[k]`` of the Schur complement,
+        """Per block k, rows ``rows[k]`` of each problem's Schur complement,
         S_ij = tr(C_i Y C_j Z^-1), as A (Y (x) Z^-1) A^T with the symmetric
         Kronecker product in svec coordinates, built one block at a time."""
-        flat_ys, flat_zs = ys.reshape(len(ys), -1), z_invs.reshape(len(z_invs), -1)
+        # (K, B, D * D), so that each block's slices are contiguous
+        flat_ys, flat_zs = (np.ascontiguousarray(x.reshape(-1, len(self.dims), self.dim ** 2)
+                                                 .swapaxes(0, 1)) for x in (ys, z_invs))
         for a, dim, y, z in zip(self.a, self.dims, flat_ys, flat_zs):
-            ij, ji, ii, jj, half_outer = self._kron[dim]
-            cross = y[ij] * z[ji]
-            kron = y[ii] * z[jj] + y[jj] * z[ii] + cross + cross.T
+            at_y, at_z, half_outer = self._kron[dim]
+            # Y_ij Z_ji, Y_ii Z_jj and Y_jj Z_ii; the products and the
+            # symmetrization run in place, which holds one fewer matrix of
+            # each size on the unreduced problems
+            terms = y.take(at_y, axis=1)
+            terms *= z.take(at_z, axis=1)
+            kron = terms[:, 1] + terms[:, 2] + terms[:, 0] + _t(terms[:, 0])
+            del terms
             kron *= half_outer
-            yield _sym((a @ kron) @ a.T)
+            part = (a @ kron) @ a.T
+            del kron
+            part += _t(part)
+            part *= 0.5
+            yield part
 
     def schur(self, ys, z_invs):
-        """S_ij = tr(C_i Y C_j Z^-1), each block adding onto the rows it
-        touches."""
-        s = np.zeros((self.m, self.m))
+        """Each problem's S_ij = tr(C_i Y C_j Z^-1), each block adding onto
+        the rows it touches: a (B, M, M) array."""
+        s = np.zeros((len(ys) // len(self.dims), self.m, self.m))
         for ix, part in zip(self._schur_ix, self.schur_parts(ys, z_invs)):
             s[ix] += part
         return s
@@ -295,26 +382,60 @@ class _SvecConstraints:
 _TRI_LEAF = 64
 
 
+class _TrilInverse:
+    """Inverts (B, n, n) stacks of nonsingular lower-triangular matrices by
+    recursive 2x2 blocking, so that nearly all the work is matrix products.
+    The diagonal blocks of at most _TRI_LEAF rows are inverted by forward
+    substitution, one row at a time, each into a buffer kept from call to
+    call, with the views that each row reads and writes made once, here.
+    When one block is the whole matrix, its buffer is the inverse, which
+    the next call overwrites; otherwise the inverse overwrites the argument,
+    each lower left block once both halves above and right of it are done,
+    so that no third matrix of the size of the Schur complement is held."""
+
+    def __init__(self, shape):
+        self.leaves, self.merges = [], []
+        self._plan(shape[0], 0, shape[-1])
+
+    def _plan(self, count, lo, hi):
+        n = hi - lo
+        if n <= _TRI_LEAF:
+            out, scale = np.zeros((count, n, n)), np.zeros((count, n, 1))
+            # row i of the block is -(l_i . out[:i, :i]) / l_ii
+            rows = [(i, out[:, :i - lo, :i - lo], out[:, i - lo:i - lo + 1, :i - lo],
+                     scale[:, i - lo:i - lo + 1]) for i in range(lo + 1, hi)]
+            self.leaves.append((lo, hi, out, (slice(None), range(n), range(n)), scale, rows))
+            return
+        mid = lo + n // 2
+        self._plan(count, lo, mid)
+        self._plan(count, mid, hi)
+        self.merges.append((lo, mid, hi))
+
+    def __call__(self, lower):
+        inv_diag = 1.0 / np.diagonal(lower, axis1=-2, axis2=-1)
+        # each diagonal block reads only its own rows of ``lower``
+        for lo, hi, out, diag, scale, rows in self.leaves:
+            out[diag] = inv_diag[:, lo:hi]
+            np.negative(inv_diag[:, lo:hi, None], out=scale)
+            for i, left, row, row_scale in rows:
+                np.matmul(lower[:, i:i + 1, lo:i], left, out=row)
+                row *= row_scale
+        if not self.merges:
+            return out
+        for lo, hi, block, *_ in self.leaves:
+            lower[:, lo:hi, lo:hi] = block
+        # the lower left block of each split, -out22 (lower21 out11), in
+        # place of lower21, which nothing reads afterwards
+        for lo, mid, hi in self.merges:
+            lower[:, mid:hi, lo:mid] = -lower[:, mid:hi, mid:hi] @ (
+                lower[:, mid:hi, lo:mid] @ lower[:, lo:mid, lo:mid])
+        return lower
+
+
 def _tril_inverse(lower):
-    """Inverse of a nonsingular lower-triangular matrix, by recursive 2x2
-    blocking so that nearly all the work is matrix products."""
-    out = np.zeros_like(lower)
-    _tril_invert_into(lower, out)
-    return out
-
-
-def _tril_invert_into(lower, out):
-    n = lower.shape[0]
-    if n <= _TRI_LEAF:
-        # forward substitution, one row of the inverse at a time
-        for i in range(n):
-            out[i, i] = 1.0 / lower[i, i]
-            out[i, :i] = -(lower[i, :i] @ out[:i, :i]) * out[i, i]
-        return
-    h = n // 2
-    _tril_invert_into(lower[:h, :h], out[:h, :h])
-    _tril_invert_into(lower[h:, h:], out[h:, h:])
-    out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
+    """Inverse of each nonsingular lower-triangular matrix in a (B, n, n)
+    stack."""
+    return _TrilInverse(lower.shape)(lower.copy())
 
 
 def _t(mats):
@@ -324,6 +445,24 @@ def _t(mats):
 
 def _sym(mats):
     return 0.5 * (mats + _t(mats))
+
+
+def _dots(xs, ws, count):
+    """For each of ``count`` problems, the inner product of its part of xs
+    with its part of ws, or with all of ws when ws holds one problem's, as
+    a list of floats: one np.vdot each, as for a single problem.  A
+    problem's part of a (B * K, D, D) stack is its K slices, of a (B, M)
+    array its row."""
+    xs = xs.reshape(count, -1)
+    if ws.size != xs.size:
+        return [float(np.vdot(ws, x)) for x in xs]
+    return [float(np.vdot(x, w)) for x, w in zip(xs, ws.reshape(count, -1))]
+
+
+def _scaled(values, stack):
+    """Each problem's part of a (B * K, D, D) stack times its entry of the
+    (B,) array ``values``."""
+    return (values[:, None] * stack.reshape(len(values), -1)).reshape(stack.shape)
 
 
 def _add_to_diagonal(mat, value):
@@ -337,115 +476,140 @@ def _add_to_diagonal(mat, value):
 _STEP_SCALE = 0.98
 
 
-def _max_steps(deltas, chol_invs):
-    """Largest alpha_p and alpha_d keeping Y + alpha_p dY and Z + alpha_d dZ
-    PSD, per Cholesky scaling.  ``deltas`` stacks [dY; dZ] and ``chol_invs``
-    the inverse factors [L(Y)^-1; L(Z)^-1] of the same blocks.  Padding,
-    zero in every delta, gives zero eigenvalues, which set no bound."""
+def _max_steps(deltas, chol_invs, count):
+    """For each of ``count`` problems, the largest alpha_p and alpha_d
+    keeping Y + alpha_p dY and Z + alpha_d dZ PSD, per Cholesky scaling: a
+    (2, B) array.  ``deltas`` stacks [dY; dZ] and ``chol_invs`` the inverse
+    factors [L(Y)^-1; L(Z)^-1] of the same blocks, each half a (B * K, D, D)
+    stack of the batch.  Padding, zero in every delta, gives zero
+    eigenvalues, which set no bound."""
     w = chol_invs @ deltas @ _t(chol_invs)
-    steps = []
-    for lam in np.linalg.eigvalsh(_sym(w)).min(axis=-1).reshape(2, -1):
-        lam = lam[lam < -1e-14]
-        steps.append(float((-1.0 / lam).min()) if lam.size else np.inf)
-    return steps
+    lam = np.linalg.eigvalsh(_sym(w)).min(axis=-1).reshape(2, count, -1)
+    bound = lam < -1e-14
+    return np.where(bound, -1.0 / np.where(bound, lam, -1.0), np.inf).min(axis=-1)
+
+
+def _shifted_cholesky(s, plain=True):
+    """Cholesky factor of one Schur complement, with the smallest diagonal
+    shift in the escalating sequence that lets it factor (starting past 0
+    unless ``plain``), and that shift relative to the trace scale.  The
+    Schur complement of PD iterates is PSD, so a shift of 100 times its
+    mean diagonal factors any finite one; when even that fails, the
+    LinAlgError propagates."""
+    scale = max(float(np.trace(s)) / max(s.shape[0], 1), 1e-300)
+    shift = 0.0 if plain else 1e-14 * scale
+    while True:
+        try:
+            return np.linalg.cholesky(_add_to_diagonal(s, shift) if shift else s), shift / scale
+        except np.linalg.LinAlgError:
+            shift = 1e-14 * scale if shift == 0.0 else 100.0 * shift
+            if shift > 1e2 * scale:
+                raise
 
 
 class _SchurFactor:
-    """Cholesky factorization of the Schur complement.  When plain Cholesky
-    fails near the optimum, a small diagonal shift is added (escalating until
-    the factorization succeeds); iterative refinement against the unshifted
-    matrix then recovers the accuracy lost to the shift.  The factor is
-    inverted once, so each solve is two matrix-vector products.
+    """Cholesky factorization of a (B, M, M) stack of Schur complements.
+    When plain Cholesky fails near the optimum, a small diagonal shift is
+    added to that problem's complement (escalating until the factorization
+    succeeds); iterative refinement against the unshifted matrix then
+    recovers the accuracy lost to the shift.  The factors are inverted once,
+    so each solve is two matrix-vector products.
 
-    ``shift`` is the diagonal shift that was needed, relative to the trace
-    scale (0.0 for none).  The Schur complement of PD iterates is PSD, so a
-    shift of 100 times its mean diagonal factors any finite one; when even
-    that fails, the LinAlgError propagates."""
+    ``shift`` holds each problem's shift relative to its trace scale (0.0
+    for none).  ``invert`` inverts the factors; the inverses live in its
+    buffer until its next call."""
 
-    def __init__(self, s):
+    def __init__(self, s, invert):
         self.s = s
-        scale = max(float(np.trace(s)) / max(s.shape[0], 1), 1e-300)
-        shift = 0.0
-        while True:
-            try:
-                chol = np.linalg.cholesky(_add_to_diagonal(s, shift) if shift else s)
-                break
-            except np.linalg.LinAlgError:
-                shift = 1e-14 * scale if shift == 0.0 else 100.0 * shift
-                if shift > 1e2 * scale:
-                    raise
-        self.shift = shift / scale
-        self.chol_inv = _tril_inverse(chol)
-
-    def _solve_once(self, rhs):
-        return self.chol_inv.T @ (self.chol_inv @ rhs)
+        try:
+            chol = np.linalg.cholesky(s)
+            self.shift = [0.0] * len(s)
+        except np.linalg.LinAlgError:
+            # escalate on each problem by itself; a lone problem's plain
+            # factorization is the one that just failed
+            chol, self.shift = map(list, zip(*(_shifted_cholesky(x, len(s) > 1) for x in s)))
+            chol = np.stack(chol)
+        self.chol_inv = invert(chol)
 
     def solve(self, rhs):
+        """S^-1 rhs for each row of the (B, M) array ``rhs``."""
         # refinement keeps the computed direction accurate once the Schur
         # complement turns ill-conditioned near the optimum, which would
-        # otherwise erode primal feasibility; stop if the residual stalls
-        x = self._solve_once(rhs)
-        best = x
-        best_res = float(np.linalg.norm(rhs - self.s @ x))
+        # otherwise erode primal feasibility; a problem stops refining when
+        # its residual stalls, and the others refine on
+        s, chol_inv, chol_inv_t = self.s, self.chol_inv, _t(self.chol_inv)
+        rhs = rhs[..., None]
+        x = chol_inv_t @ (chol_inv @ rhs)
+        r = rhs - s @ x
+        best, best_res = x, [math.sqrt(v) for v in _dots(r, r, len(r))]
+        on = list(range(len(best)))  # the problems still refining
         for _ in range(4):
-            x = x + self._solve_once(rhs - self.s @ x)
-            res = float(np.linalg.norm(rhs - self.s @ x))
-            if res >= best_res:
+            x = x + chol_inv_t @ (chol_inv @ r)
+            r = rhs - s @ x
+            res = [math.sqrt(v) for v in _dots(r, r, len(r))]
+            going = [k for k, p in enumerate(on) if not res[k] >= best_res[p]]
+            if not going:
                 break
-            best, best_res = x, res
-        return best
+            if len(going) < len(on):
+                on = [on[k] for k in going]
+                res = [res[k] for k in going]
+                s, chol_inv, chol_inv_t, rhs, x, r = (
+                    v[going] for v in (s, chol_inv, chol_inv_t, rhs, x, r))
+            if len(on) == len(best):
+                best = x
+            else:
+                best[on] = x
+            for p, value in zip(on, res):
+                best_res[p] = value
+        return best[..., 0]
 
 
-def solve(problem, options=None):
-    """Solve a standard-form block SDP; never raises on numerical trouble,
-    reporting it in Solution.status instead."""
-    opts = options or SolverOptions()
-    if opts.max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {opts.max_iterations}")
-    # a nan or nonpositive tolerance never meets the stopping test
-    if not 0 < opts.tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {opts.tolerance}")
-    dims = problem.block_dims
-    nu = sum(dims)
+def _factorize(cons, ys, zs, pads, eye, invert):
+    """For the iterates Y and Z of B problems, each (B * K, D, D): the
+    inverse Cholesky factors [L(Y)^-1; L(Z)^-1], Z^-1 and the Schur
+    factorization of each problem; raises LinAlgError when any problem's
+    fails.  ``pads`` stacks the padding identity for [Y; Z], and
+    ``invert`` inverts the Schur factors."""
+    # the padded factors are diag(L, I), exactly
+    chols = np.linalg.cholesky(np.concatenate([ys, zs]) + pads)
+    # numpy 1.x reads a (d, d) right-hand side against a stack as a stack
+    # of vectors, so the identity ``eye`` comes as a stack of one
+    chol_invs = np.linalg.solve(chols, eye)
+    # Z^-1 by a second solve: the product L^-T L^-1 rounds differently and
+    # sends the near-degenerate (4,4,+1) solve to its best iterate
+    z_invs = _sym(np.linalg.solve(_t(chols[len(ys):]), chol_invs[len(ys):])) - pads[len(ys):]
+    return chol_invs, z_invs, _SchurFactor(cons.schur(ys, z_invs), invert)
 
-    keep, contradiction = _dedup_rows(problem)
-    if contradiction:
-        return Solution([np.zeros((d, d)) for d in dims], np.zeros(problem.num_constraints),
-                        np.nan, np.nan, np.nan, "infeasible", 0)
 
-    m = len(keep)
-    b = np.array([problem.rhs[k] for k in keep], dtype=float)
-    cons = _SvecConstraints(problem, keep)
-    a_of, at_of, pad = cons.a_of, cons.at_of, cons.pad
-    c0 = cons.stack(problem.dense_matrix(0))
-    norm_c = cons.max_row_norm()
-    alpha0 = 1.0 + (float(np.abs(b).max()) if m else 0.0) + max(norm_c, float(np.linalg.norm(c0)))
+def _factorizes(cons, ys, zs, pads, eye):
+    """Whether one problem's iterate factors, as _factorize does it."""
+    try:
+        _factorize(cons, ys, zs, pads, eye, _tril_inverse)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    ys = alpha0 * (np.eye(cons.dim) - pad)
-    zs = ys.copy()
-    pads = np.concatenate([pad, pad])
-    eye = np.broadcast_to(np.eye(cons.dim), pads.shape)
-    y = np.zeros(m)
 
-    status = "max_iterations"
-    iterations = 0
-    pobj = dobj = gap = np.nan
-    best = None  # (merit, ys, zs, y, pobj, dobj, gap)
-    best_it = 0
-    stall = 0
-    max_shift = 0.0
+class _Run:
+    """One problem's course through the lockstep loop: its stopping tests,
+    best iterate, stall count, Schur shifts and the iterate it stops at."""
 
-    for it in range(opts.max_iterations):
-        iterations = it
-        pobj = float(np.vdot(c0, ys))
-        dobj = float(b @ y)
-        rp = b - a_of(ys)
-        rd = c0 - at_of(y) - zs
-        gap = float(np.vdot(ys, zs))
+    def __init__(self):
+        self.status = "max_iterations"
+        self.iterations = 0
+        self.best = None  # (merit, ys, y, pobj, dobj, gap)
+        self.best_it = 0
+        self.stall = 0
+        self.max_shift = 0.0
+        self.last = None  # (ys, y, pobj, dobj, gap)
 
+    def goes_on(self, it, ys, y, pobj, dobj, gap, pres, dres, opts):
+        """Record iteration ``it`` and apply the stopping tests; False when
+        the problem stops here."""
+        self.iterations = it
+        # ys and y are rebound each step, never changed in place
+        self.last = (ys, y, pobj, dobj, gap)
         rel_gap = gap / (1.0 + abs(pobj) + abs(dobj))
-        pres = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
-        dres = math.sqrt(float(np.vdot(rd, rd))) / (1.0 + norm_c)
         if opts.verbose:
             print(f"  iter {it:3d}  pobj {pobj:+.8e}  dobj {dobj:+.8e} "
                   f"gap {rel_gap:.2e}  pres {pres:.2e}  dres {dres:.2e}")
@@ -455,95 +619,202 @@ def solve(problem, options=None):
         # close
         obj_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         merit = max(abs(rel_gap), pres, dres, obj_gap)
-        if np.isfinite(merit) and (best is None or merit < best[0]):
-            # ys, zs and y are rebound each step, never changed in place
-            best = (merit, ys, zs, y, pobj, dobj, gap)
-            best_it = it
-            stall = 0
+        if np.isfinite(merit) and (self.best is None or merit < self.best[0]):
+            self.best = (merit, ys, y, pobj, dobj, gap)
+            self.best_it = it
+            self.stall = 0
         else:
-            stall += 1
+            self.stall += 1
         # the starting iterate is never reported as optimal, however loose
         # the tolerance: at least one step must have been taken
         if it and rel_gap <= opts.tolerance and pres <= opts.tolerance and dres <= opts.tolerance:
-            status = "optimal"
-            break
-        if stall >= 6:
+            self.status = "optimal"
+        elif self.stall >= 6:
             # residuals stopped improving; the best iterate seen is as good
             # as this run will get
-            status = "numerical_failure"
-            break
-        if not np.isfinite(pobj) or not np.isfinite(dobj) or not np.isfinite(gap):
-            status = "numerical_failure"
-            break
-        if dobj > 1e12 and dres <= 1e-6:
-            status = "infeasible"  # dual unbounded above
-            break
-        if pobj < -1e12 and pres <= 1e-6:
-            status = "unbounded"
-            break
+            self.status = "numerical_failure"
+        elif not np.isfinite(pobj) or not np.isfinite(dobj) or not np.isfinite(gap):
+            self.status = "numerical_failure"
+        elif dobj > 1e12 and dres <= 1e-6:
+            self.status = "infeasible"  # dual unbounded above
+        elif pobj < -1e12 and pres <= 1e-6:
+            self.status = "unbounded"
+        else:
+            return True
+        return False
+
+    def solution(self, cons, keep, num_constraints, opts):
+        ys, y, pobj, dobj, gap = self.last
+        fallbacks = []
+        if self.max_shift:
+            fallbacks.append(("schur_shift", self.max_shift))
+        if self.status in ("numerical_failure", "max_iterations") and self.best is not None:
+            # fall back to the most accurate iterate seen; accept it as
+            # optimal when it sits within a small factor of the requested
+            # tolerance and is not the starting iterate
+            merit, ys, y, pobj, dobj, gap = self.best
+            if self.best_it and merit <= 100.0 * opts.tolerance:
+                self.status = "optimal"
+            fallbacks.append(("best_iterate", self.status == "optimal"))
+        dual_full = np.zeros(num_constraints)
+        dual_full[keep] = y
+        rel_gap = gap / (1.0 + abs(pobj) + abs(dobj)) if np.isfinite(gap) else np.nan
+        return Solution(cons.unstack(ys), dual_full, pobj, dobj, rel_gap, self.status,
+                        self.iterations + 1, tuple(fallbacks))
+
+
+# bytes of Schur complements that one lockstep batch may hold: the
+# unreduced n = 5 problems (2046 rows, 33 MB each) run one at a time
+_SCHUR_BYTES = 1 << 24
+
+
+def solve(problem, options=None):
+    """Solve a standard-form block SDP; never raises on numerical trouble,
+    reporting it in Solution.status instead."""
+    return solve_many([problem], options)[0]
+
+
+def solve_many(problems, options=None):
+    """Solve problems that share one entry record, such as the retargeted
+    copies of one problem, which differ only in the right-hand side.  They
+    run through the interior-point loop in lockstep, each problem on its own
+    slice of every array, and each gets the Solution that ``solve`` gives it
+    alone, bit for bit.  A problem leaves the batch when it stops."""
+    opts = options or SolverOptions()
+    if opts.max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {opts.max_iterations}")
+    # a nan or nonpositive tolerance never meets the stopping test
+    if not 0 < opts.tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {opts.tolerance}")
+    problems = list(problems)
+    if not problems:
+        return []
+    first = problems[0]
+    if any(p.entries is not first.entries or p.block_dims != first.block_dims
+           or len(p.rhs) != len(first.rhs) for p in problems):
+        raise ValueError("solve_many needs problems that share one entry record")
+
+    keep, source = _dedup_rows(first)
+    rhs = np.array([p.rhs for p in problems], dtype=float).reshape(len(problems), -1)
+    contradiction = _contradictions(rhs, source)
+    out = [Solution([np.zeros((d, d)) for d in first.block_dims],
+                    np.zeros(first.num_constraints), np.nan, np.nan, np.nan, "infeasible", 0)
+           if bad else None for bad in contradiction.tolist()]
+    live = np.flatnonzero(~contradiction)
+    if not len(live):
+        return out
+    cons = _SvecConstraints(first, keep)
+    c0 = cons.stack(first.dense_matrix(0))
+    norm_c = cons.max_row_norm()
+    width = max(1, _SCHUR_BYTES // (8 * max(cons.m, 1) ** 2))
+    for lo in range(0, len(live), width):
+        chunk = live[lo:lo + width]
+        runs = _lockstep(cons, c0, norm_c, rhs[chunk][:, keep], opts)
+        for k, run in zip(chunk.tolist(), runs):
+            out[k] = run.solution(cons, keep, first.num_constraints, opts)
+    return out
+
+
+def _lockstep(cons, c0, norm_c, b, opts):
+    """The interior-point loop on the problems whose kept right-hand sides
+    are the rows of ``b``; returns one finished _Run per problem."""
+    nu = sum(cons.dims)
+    count = len(b)
+    k = len(cons.dims)
+    # the objective and the padding identity in every problem's slices of
+    # a (B * K, D, D) stack; as the batch shrinks, their leading slices
+    c0s = np.tile(c0, (count, 1, 1))
+    pads = np.tile(cons.pad, (2 * count, 1, 1))
+    eye = np.eye(cons.dim)[None]
+    invert = _TrilInverse((count, cons.m, cons.m))
+    runs = [_Run() for _ in b]
+    at = np.arange(count)  # the problem in each slot of the batch
+    norm_b = np.sqrt(_dots(b, b, count))
+    norm_c0 = max(norm_c, float(np.linalg.norm(c0)))
+    alpha0 = np.array([1.0 + x + norm_c0 for x in np.abs(b).max(axis=1, initial=0.0).tolist()])
+    ys = _scaled(alpha0, eye - pads[:count * k])
+    zs = ys.copy()
+    y = np.zeros(b.shape)
+
+    def keep_only(slots):
+        nonlocal count, at, b, norm_b, ys, zs, y, rd, gap, c0s, pads, invert
+        count, blocks = len(slots), (len(slots) * k, cons.dim, cons.dim)
+        invert = _TrilInverse((count, cons.m, cons.m))
+        at, b, norm_b, y, gap = (x[slots] for x in (at, b, norm_b, y, gap))
+        ys, zs, rd = (x.reshape(len(x) // k, -1)[slots].reshape(blocks) for x in (ys, zs, rd))
+        c0s, pads = c0s[:count * k], pads[:2 * count * k]
+
+    for it in range(opts.max_iterations):
+        pobj = _dots(ys, c0, count)
+        dobj = _dots(b, y, count)
+        rp = b - cons.a_of(ys)
+        rd = c0s - cons.at_of(y) - zs
+        gap = np.array(_dots(ys, zs, count))
+        # the scalars of each problem's tests are Python floats, as for one
+        # problem, so that an inf or a nan in one of them warns of nothing
+        going = [p for p, (po, do, g, rp2, rd2, nb) in enumerate(zip(
+                     pobj, dobj, gap.tolist(), _dots(rp, rp, count), _dots(rd, rd, count),
+                     norm_b.tolist()))
+                 if runs[at[p]].goes_on(it, ys[p * k:(p + 1) * k], y[p], po, do, g,
+                                        math.sqrt(rp2) / (1.0 + nb),
+                                        math.sqrt(rd2) / (1.0 + norm_c), opts)]
+        if len(going) < count:
+            keep_only(going)
+            if not going:
+                break
 
         try:
-            # the padded factors are diag(L, I), exactly
-            chols = np.linalg.cholesky(np.concatenate([ys, zs]) + pads)
-            # [L(Y)^-1; L(Z)^-1]; numpy 1.x reads a (d, d) right-hand side
-            # against a stack as a stack of vectors, so the identity is
-            # broadcast explicitly
-            chol_invs = np.linalg.solve(chols, eye)
-            # Z^-1 by a second solve: the product L^-T L^-1 rounds differently
-            # and sends the near-degenerate (4,4,+1) solve to its best iterate
-            z_invs = _sym(np.linalg.solve(_t(chols[len(ys):]), chol_invs[len(ys):])) - pad
-            factor = _SchurFactor(cons.schur(ys, z_invs))
+            chol_invs, z_invs, factor = _factorize(cons, ys, zs, pads, eye, invert)
         except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            break
-        max_shift = max(max_shift, factor.shift)
+            # end only the problems whose own factorization fails; a lone
+            # problem is the one that failed
+            going = [p for p in range(count) if count > 1 and _factorizes(
+                cons, ys[p * k:(p + 1) * k], zs[p * k:(p + 1) * k], pads[:2 * k], eye)]
+            for p in set(range(count)) - set(going):
+                runs[at[p]].status = "numerical_failure"
+            keep_only(going)
+            if not going:
+                break
+            chol_invs, z_invs, factor = _factorize(cons, ys, zs, pads, eye, invert)
+        for p, shift in zip(at.tolist(), factor.shift):
+            runs[p].max_shift = max(runs[p].max_shift, shift)
 
-        mu = gap / nu
         hyrz = _sym(ys @ rd @ z_invs)
-        a_hyrz = a_of(hyrz)
+        a_both = cons.a_of(np.concatenate([hyrz, z_invs]))
+        a_hyrz, a_z_invs = a_both[:count], a_both[count:]
 
         # predictor (affine scaling)
         dy_a = factor.solve(b + a_hyrz)
-        dz_a = rd - at_of(dy_a)
+        dz_a = rd - cons.at_of(dy_a)
         dy_blocks_a = -ys - _sym(ys @ dz_a @ z_invs)
-        ap, ad = _max_steps(np.concatenate([dy_blocks_a, dz_a]), chol_invs)
-        ap, ad = min(1.0, ap), min(1.0, ad)
-        gap_aff = float(np.vdot(ys + ap * dy_blocks_a, zs + ad * dz_a))
-        sigma = (max(gap_aff, 0.0) / gap) ** 3 if gap > 0 else 0.1
-        sigma = float(np.clip(sigma, 1e-10, 1.0))
+        ap, ad = np.minimum(1.0, _max_steps(np.concatenate([dy_blocks_a, dz_a]), chol_invs,
+                                            count))
+        gap_aff = _dots(ys + _scaled(ap, dy_blocks_a), zs + _scaled(ad, dz_a), count)
+        # sigma, clipped to [1e-10, 1], times mu
+        sigma_mu = np.array([
+            min(max((max(g_aff, 0.0) / g) ** 3 if g > 0 else 0.1, 1e-10), 1.0) * (g / nu)
+            for g_aff, g in zip(gap_aff, gap.tolist())])
 
         # corrector
         corr = _sym(dy_blocks_a @ dz_a @ z_invs)
-        rhs_c = b - sigma * mu * a_of(z_invs) + a_hyrz + a_of(corr)
+        rhs_c = b - sigma_mu[:, None] * a_z_invs + a_hyrz + cons.a_of(corr)
         dy = factor.solve(rhs_c)
-        dz = rd - at_of(dy)
-        dy_blocks = sigma * mu * z_invs - ys - _sym(ys @ dz @ z_invs) - corr
-        ap, ad = _max_steps(np.concatenate([dy_blocks, dz]), chol_invs)
-        ap, ad = min(1.0, _STEP_SCALE * ap), min(1.0, _STEP_SCALE * ad)
+        dz = rd - cons.at_of(dy)
+        dy_blocks = _scaled(sigma_mu, z_invs) - ys - _sym(ys @ dz @ z_invs) - corr
+        ap, ad = np.minimum(1.0, _STEP_SCALE * _max_steps(np.concatenate([dy_blocks, dz]),
+                                                          chol_invs, count))
 
-        ys = _sym(ys + ap * dy_blocks)
-        zs = _sym(zs + ad * dz)
-        y = y + ad * dy
-        # the Schur complement and its inverse factor live for one iteration
+        ys = _sym(ys + _scaled(ap, dy_blocks))
+        zs = _sym(zs + _scaled(ad, dz))
+        y = y + ad[:, None] * dy
+        # the Schur complements live for one iteration
         del factor
-
-    fallbacks = []
-    if max_shift:
-        fallbacks.append(("schur_shift", max_shift))
-    if status in ("numerical_failure", "max_iterations") and best is not None:
-        # fall back to the most accurate iterate seen; accept it as optimal
-        # when it sits within a small factor of the requested tolerance and
-        # is not the starting iterate
-        merit, ys, zs, y, pobj, dobj, gap = best
-        if best_it and merit <= 100.0 * opts.tolerance:
-            status = "optimal"
-        fallbacks.append(("best_iterate", status == "optimal"))
-
-    dual_full = np.zeros(problem.num_constraints)
-    dual_full[keep] = y
-    rel_gap = gap / (1.0 + abs(pobj) + abs(dobj)) if np.isfinite(gap) else np.nan
-    return Solution(cons.unstack(ys), dual_full, pobj, dobj, rel_gap, status, iterations + 1,
-                    tuple(fallbacks))
+    else:
+        # out of iterations: the problems still in the batch end at the
+        # last step taken
+        for p, run in enumerate(runs[q] for q in at.tolist()):
+            run.last = (ys[p * k:(p + 1) * k], y[p]) + run.last[2:]
+    return runs
 
 
 @dataclass

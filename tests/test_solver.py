@@ -1,9 +1,12 @@
 """Interior-point solver: brute-force LP oracle on random diagonal SDPs,
-known optimal values of the assembled problems, status handling, and the
-padded block stack against per-block references."""
+known optimal values of the assembled problems, status handling, the
+padded block stack against per-block references, and lockstep batches
+against lone solves."""
 
 import itertools
 import random
+import re
+from copy import copy
 
 import numpy as np
 import pytest
@@ -15,10 +18,12 @@ from ncagm import (
     extract_farkas,
     retarget,
     solve,
+    solve_many,
     symmetry_reduce,
 )
 from ncagm import sdp
 from ncagm.certify import farkas_check
+from ncagm.compiler import retargeting
 from ncagm.sdp import (
     _TRI_LEAF,
     SdpError,
@@ -277,7 +282,13 @@ class TestEntryRecord:
             if key not in seen:
                 seen.add(key)
                 keep.append(k)
-        assert _dedup_rows(problem) == (keep, False)
+        kept, source = _dedup_rows(problem)
+        assert kept == keep
+        # every row points at the kept row with its dict, and repeats agree
+        # on the rhs
+        for k, entries in enumerate(problem.constraints):
+            assert source[k] in keep and problem.constraints[source[k]] == entries
+            assert problem.rhs[source[k]] == problem.rhs[k]
         # y0*C0 + sum y_k C_k accumulated entry by entry in row order, with
         # some y_k = 0; the record's sum adds in the same order
         y = np.random.default_rng(5).standard_normal(problem.num_constraints)
@@ -327,7 +338,10 @@ class TestEntryRecord:
         problem = SdpProblem((1, 1), [{(0, 0, 0): 1.0, (1, 0, 0): 0.0},
                                       {(0, 0, 0): 1.0, (1, 0, 0): -0.0}],
                              [1.0, 1.0], {(0, 0, 0): 1.0})
-        assert _dedup_rows(problem) == ([0], False)
+        kept, source = _dedup_rows(problem)
+        assert kept == [0]
+        assert source.tolist() == [0, 0]
+        assert solve(problem).status == "optimal"
 
 
 class TestFarkas:
@@ -364,15 +378,21 @@ def svec_problem(reduced, m, n, sign):
 
 
 class TestSvecCore:
+    """The constraint operator on a batch of problems, each checked against
+    its own dense reference."""
+
     # reduced (5,5) interleaves sizes: blocks (1, 8, 6, 1, 1, 4, 4, 1, 1)
     @pytest.mark.parametrize("reduced,m,n", [(True, 4, 4), (False, 3, 3), (True, 5, 5)])
     def test_schur_blocks_match_dense_reference(self, reduced, m, n):
         problem, keep, cons = svec_problem(reduced, m, n, 1)
         rng = np.random.default_rng(3)
-        ys = [random_pd(rng, d) for d in problem.block_dims]
-        z_invs = [np.linalg.inv(random_pd(rng, d)) for d in problem.block_dims]
-        y_stack, z_stack = cons.stack(ys), cons.stack(z_invs)
-        full = np.zeros((len(keep), len(keep)))
+        # two problems: their iterates differ, the constraints are shared
+        ys = [[random_pd(rng, d) for d in problem.block_dims] for _ in range(2)]
+        z_invs = [[np.linalg.inv(random_pd(rng, d)) for d in problem.block_dims]
+                  for _ in range(2)]
+        y_stack = np.concatenate([cons.stack(blocks) for blocks in ys])
+        z_stack = np.concatenate([cons.stack(blocks) for blocks in z_invs])
+        full = np.zeros((2, len(keep), len(keep)))
         parts = list(cons.schur_parts(y_stack, z_stack))
         assert len(parts) == len(problem.block_dims)
         for k, (rows, got) in enumerate(zip(cons.rows, parts)):
@@ -381,51 +401,64 @@ class TestSvecCore:
             left_out = np.setdiff1d(np.arange(len(keep)), rows)
             assert all(not on_block[row].any() for row in left_out)
             stack = np.array([on_block[row] for row in rows])
-            # S_ij = tr(C_i Y C_j Z^-1), one dense product per row pair
-            flat = stack.reshape(len(stack), -1)
-            ref = flat @ (ys[k] @ stack @ z_invs[k]).reshape(len(stack), -1).T
-            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
-            full[np.ix_(rows, rows)] += ref
+            assert got.shape == (2, len(rows), len(rows))
+            for p in range(2):
+                # S_ij = tr(C_i Y C_j Z^-1), one dense product per row pair
+                flat = stack.reshape(len(stack), -1)
+                ref = flat @ (ys[p][k] @ stack @ z_invs[p][k]).reshape(len(stack), -1).T
+                assert np.linalg.norm(got[p] - ref) <= 1e-10 * np.linalg.norm(ref)
+                full[p][np.ix_(rows, rows)] += ref
         s = cons.schur(y_stack, z_stack)
-        assert s.shape == (len(keep), len(keep))
-        assert np.array_equal(s, s.T)
-        # every block's part lands on its own rows of the assembled matrix
-        assert np.linalg.norm(s - full) <= 1e-10 * np.linalg.norm(full)
+        assert s.shape == (2, len(keep), len(keep))
+        for p in range(2):
+            assert np.array_equal(s[p], s[p].T)
+            # every block's part lands on its own rows of the assembled matrix
+            assert np.linalg.norm(s[p] - full[p]) <= 1e-10 * np.linalg.norm(full[p])
+            # and each problem's complement is the one it gets alone
+            alone = cons.schur(cons.stack(ys[p]), cons.stack(z_invs[p]))
+            assert np.array_equal(s[p], alone[0])
 
     # reduced (5,5) interleaves sizes: blocks (1, 8, 6, 1, 1, 4, 4, 1, 1)
     @pytest.mark.parametrize("reduced,m,n", [(True, 4, 4), (False, 3, 3), (True, 5, 5)])
     def test_a_and_at_are_adjoint(self, reduced, m, n):
         problem, keep, cons = svec_problem(reduced, m, n, -1)
         rng = np.random.default_rng(4)
-        xs = []
-        for d in problem.block_dims:
-            g = rng.standard_normal((d, d))
-            xs.append(g + g.T)
-        y = rng.standard_normal(len(keep))
-        ax = cons.a_of(cons.stack(xs))
+        xs = [[random_sym(rng, d) for d in problem.block_dims] for _ in range(2)]
+        y = rng.standard_normal((2, len(keep)))
+        x_stack = np.concatenate([cons.stack(blocks) for blocks in xs])
+        ax = cons.a_of(x_stack)
         aty_stack = cons.at_of(y)
-        # A^T(y) is zero on the padding
-        assert np.array_equal(aty_stack, cons.stack(cons.unstack(aty_stack)))
-        aty = cons.unstack(aty_stack)
-        lhs = float(ax @ y)
-        rhs = sum(float((x * w).sum()) for x, w in zip(xs, aty))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-        for mat, d in zip(aty, problem.block_dims):
-            assert mat.shape == (d, d)
-            assert np.array_equal(mat, mat.T)
-        # A(X)_i = tr(C_i X) against the dense data
-        for pos, row in enumerate(keep):
-            ref = sum(float((c * x).sum())
-                      for c, x in zip(dense(problem, problem.constraints[row]), xs))
-            assert ax[pos] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert ax.shape == (2, len(keep))
+        assert aty_stack.shape == x_stack.shape
+        for p, aty_p in enumerate(np.split(aty_stack, 2)):
+            # A^T(y) is zero on the padding
+            assert np.array_equal(aty_p, cons.stack(cons.unstack(aty_p)))
+            aty = cons.unstack(aty_p)
+            lhs = float(ax[p] @ y[p])
+            rhs = sum(float((x * w).sum()) for x, w in zip(xs[p], aty))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+            for mat, d in zip(aty, problem.block_dims):
+                assert mat.shape == (d, d)
+                assert np.array_equal(mat, mat.T)
+            # A(X)_i = tr(C_i X) against the dense data
+            for pos, row in enumerate(keep):
+                ref = sum(float((c * x).sum())
+                          for c, x in zip(dense(problem, problem.constraints[row]), xs[p]))
+                assert ax[p, pos] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            # each problem's images are the ones it gets alone
+            assert np.array_equal(ax[p], cons.a_of(cons.stack(xs[p]))[0])
+            assert np.array_equal(aty_p, cons.at_of(y[p:p + 1]))
 
     @pytest.mark.parametrize("dim", [_TRI_LEAF + 1, 3 * _TRI_LEAF + 7])
     def test_triangular_inverse(self, dim):
         assert dim % 2 == 1 and dim > _TRI_LEAF
-        lower = np.linalg.cholesky(random_pd(np.random.default_rng(dim), dim))
+        rng = np.random.default_rng(dim)
+        lower = np.linalg.cholesky(np.array([random_pd(rng, dim) for _ in range(2)]))
         inv = _tril_inverse(lower)
-        assert np.abs(inv @ lower - np.eye(dim)).max() <= 1e-12
-        assert not np.triu(inv, 1).any()
+        for p in range(2):
+            assert np.abs(inv[p] @ lower[p] - np.eye(dim)).max() <= 1e-12
+            assert not np.triu(inv[p], 1).any()
+            assert np.array_equal(inv[p], _tril_inverse(lower[p:p + 1])[0])
 
 
 def _max_step(deltas, chols):
@@ -457,33 +490,45 @@ class TestStackedSteps:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_block_reference(self, seed):
         rng = np.random.default_rng(seed)
-        y_chols = [np.linalg.cholesky(random_pd(rng, d)) for d in self.DIMS]
-        z_chols = [np.linalg.cholesky(random_pd(rng, d)) for d in self.DIMS]
-        dys = [random_sym(rng, d) for d in self.DIMS]
-        dzs = [random_sym(rng, d) for d in self.DIMS]
-        # a PSD direction sets no bound on its block
-        dys[seed % len(self.DIMS)] = random_pd(rng, self.DIMS[seed % len(self.DIMS)])
-        if seed == 0:
-            dzs = [random_pd(rng, d) for d in self.DIMS]
         cons = padded(self.DIMS)
-        chols = np.concatenate([cons.stack(y_chols) + cons.pad, cons.stack(z_chols) + cons.pad])
-        deltas = np.concatenate([cons.stack(dys), cons.stack(dzs)])
-        expected = [_max_step(dys, y_chols), _max_step(dzs, z_chols)]
-        assert _max_steps(deltas, np.linalg.inv(chols)) == pytest.approx(expected, rel=1e-10)
-        assert (expected[1] == np.inf) == (seed == 0)
+        # a batch of two problems; a PSD direction sets no bound on its block
+        problems = []
+        for p in range(2):
+            y_chols = [np.linalg.cholesky(random_pd(rng, d)) for d in self.DIMS]
+            z_chols = [np.linalg.cholesky(random_pd(rng, d)) for d in self.DIMS]
+            dys = [random_sym(rng, d) for d in self.DIMS]
+            dzs = [random_sym(rng, d) for d in self.DIMS]
+            k = (seed + p) % len(self.DIMS)
+            dys[k] = random_pd(rng, self.DIMS[k])
+            if seed == 0 and p == 0:
+                dzs = [random_pd(rng, d) for d in self.DIMS]
+            problems.append((y_chols, z_chols, dys, dzs))
+        # [Y; Z] of the batch: the Y blocks of every problem, then the Z blocks
+        chols = np.concatenate([cons.stack(pr[i]) + cons.pad for i in (0, 1) for pr in problems])
+        deltas = np.concatenate([cons.stack(pr[i]) for i in (2, 3) for pr in problems])
+        steps = _max_steps(deltas, np.linalg.inv(chols), 2)
+        assert steps.shape == (2, 2)
+        for p, (y_chols, z_chols, dys, dzs) in enumerate(problems):
+            expected = [_max_step(dys, y_chols), _max_step(dzs, z_chols)]
+            assert list(steps[:, p]) == pytest.approx(expected, rel=1e-10)
+            assert (expected[1] == np.inf) == (seed == 0 and p == 0)
 
     def test_padded_factors_are_exact(self):
         # Cholesky of Y + P is diag(L, I), and its inverse diag(L^-1, I),
-        # to the last bit on the padding
+        # to the last bit on the padding, for every problem of a batch
         cons = padded(self.DIMS)
         rng = np.random.default_rng(9)
-        blocks = [random_pd(rng, d) for d in self.DIMS]
-        chol = np.linalg.cholesky(cons.stack(blocks) + cons.pad)
+        blocks = [[random_pd(rng, d) for d in self.DIMS] for _ in range(2)]
+        chol = np.linalg.cholesky(np.concatenate([cons.stack(b) + cons.pad for b in blocks]))
         inv = np.linalg.inv(chol)
-        for k, d in enumerate(self.DIMS):
-            for mat in (chol, inv):
-                assert np.array_equal(mat[k] - cons.stack(cons.unstack(mat))[k], cons.pad[k])
-            assert np.allclose(chol[k, :d, :d], np.linalg.cholesky(blocks[k]), rtol=1e-13)
+        for p in range(2):
+            for k, d in enumerate(self.DIMS):
+                slot = p * len(self.DIMS) + k
+                for mat in (chol, inv):
+                    corner = cons.stack(cons.unstack(mat[p * len(self.DIMS):][:len(self.DIMS)]))
+                    assert np.array_equal(mat[slot] - corner[k], cons.pad[k])
+                assert np.allclose(chol[slot, :d, :d], np.linalg.cholesky(blocks[p][k]),
+                                   rtol=1e-13)
 
 
 class TestInterleavedBlocks:
@@ -528,32 +573,46 @@ class TestInterleavedBlocks:
             assert value == pytest.approx(b, abs=1e-7)
 
     def test_padding_stays_zero(self, data, monkeypatch):
-        """Every iterate and both directions are exactly zero off their
-        blocks' corners of the padded stack, at every iteration."""
+        """Every iterate and both directions of every problem in a batch are
+        exactly zero off their blocks' corners of the padded stack, at every
+        iteration."""
         problem = self.problem(data, range(len(self.DIMS)))
+        # a second problem with the same constraints and another feasible rhs
+        rng = np.random.default_rng(6)
+        x1 = [random_pd(rng, d) for d in self.DIMS]
+        sibling = copy(problem)
+        sibling.rhs = [sum(float((c * x).sum()) for c, x in zip(dense(problem, row), x1))
+                       for row in problem.constraints]
         cons = padded(problem.block_dims)
         off = cons.stack([np.ones((d, d)) for d in self.DIMS]) == 0
-        seen = {"vdot": 0, "steps": 0}
-        vdot, max_steps = np.vdot, sdp._max_steps
+        seen = {"dots": 0, "steps": 0}
+        dots, max_steps = sdp._dots, sdp._max_steps
 
-        def checked_vdot(x, w):
-            # pobj, the gap and the affine gap: C0, Y, Z and trial iterates
-            assert not x[off].any() and not w[off].any()
-            seen["vdot"] += 1
-            return vdot(x, w)
+        def padding(stack, count):
+            return stack.reshape((count,) + off.shape)[:, off]
 
-        def checked_steps(deltas, chol_invs):
-            # [dY; dZ], predictor and corrector
-            assert not deltas[np.concatenate([off, off])].any()
+        def checked_dots(xs, ws, count):
+            # pobj, the gap, the dual residual and the affine gap: C0, Y, Z,
+            # their residuals and trial iterates, each problem's own slices
+            if xs.shape[1:] == off.shape[1:]:
+                assert not padding(xs, count).any()
+                assert not (padding(ws, count) if ws.shape == xs.shape else ws[off]).any()
+                seen["dots"] += 1
+            return dots(xs, ws, count)
+
+        def checked_steps(deltas, chol_invs, count):
+            # [dY; dZ] of every problem, predictor and corrector
+            assert not padding(deltas, 2 * count).any()
             seen["steps"] += 1
-            return max_steps(deltas, chol_invs)
+            return max_steps(deltas, chol_invs, count)
 
-        monkeypatch.setattr(np, "vdot", checked_vdot)
+        monkeypatch.setattr(sdp, "_dots", checked_dots)
         monkeypatch.setattr(sdp, "_max_steps", checked_steps)
-        sol = solve(problem)
-        assert sol.status == "optimal"
-        assert seen["steps"] == 2 * (sol.iterations - 1)
-        assert seen["vdot"] >= 3 * (sol.iterations - 1)
+        sols = solve_many([problem, sibling])
+        assert [sol.status for sol in sols] == ["optimal", "optimal"]
+        longest = max(sol.iterations for sol in sols)
+        assert seen["steps"] == 2 * (longest - 1)
+        assert seen["dots"] >= 3 * (longest - 1)
 
     def test_block_order_does_not_change_objective(self, data):
         base = solve(self.problem(data, range(len(self.DIMS))))
@@ -564,16 +623,19 @@ class TestInterleavedBlocks:
 
 class TestFallbacks:
     def test_unfactorable_schur_ends_numerical_failure(self, monkeypatch):
-        # the block stacks are 3-D; only the Schur complement is 2-D
+        reduced, _ = symmetry_reduce(assemble_sdp(2, 3, 1))
+        # the block stacks are D x D; the Schur complements, batched or one
+        # at a time, are m x m
+        rows = len(_dedup_rows(reduced)[0])
+        assert rows != max(reduced.block_dims)
         cholesky = np.linalg.cholesky
 
         def failing(mat):
-            if np.ndim(mat) == 2:
+            if np.shape(mat)[-1] == rows:
                 raise np.linalg.LinAlgError("Matrix is not positive definite")
             return cholesky(mat)
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
-        reduced, _ = symmetry_reduce(assemble_sdp(2, 3, 1))
         sol = solve(reduced)
         assert sol.status == "numerical_failure"
         assert sol.iterations == 1
@@ -609,3 +671,187 @@ class TestFallbacks:
         early = solve(reduced, SolverOptions(max_iterations=2))
         assert early.status == "max_iterations"
         assert ("best_iterate", False) in early.fallbacks
+
+
+def assert_same_solution(got, ref):
+    """Bit for bit: objectives, gap, status, counts, fallbacks and both
+    iterates."""
+    assert (repr(got.objective_primal), repr(got.objective_dual), repr(got.gap)) == (
+        repr(ref.objective_primal), repr(ref.objective_dual), repr(ref.gap))
+    assert (got.status, got.iterations, got.fallbacks) == (ref.status, ref.iterations,
+                                                           ref.fallbacks)
+    assert got.dual.tobytes() == ref.dual.tobytes()
+    assert [blk.tobytes() for blk in got.primal_blocks] == [
+        blk.tobytes() for blk in ref.primal_blocks]
+
+
+def table_groups(heavy_rows):
+    """The (n, d) groups of `table --heavy`: each group's targets, both
+    signs per row, retargeted from one reduced problem."""
+    from itertools import groupby
+
+    from ncagm.cli import DEFAULT_ROWS
+    for (n, _), rows in groupby(DEFAULT_ROWS + heavy_rows, key=lambda row: (row[1], row[0] // 2)):
+        ms = [m for m, _ in rows]
+        to_target = retargeting(symmetry_reduce(assemble_sdp(ms[0], n, -1))[0])
+        yield [to_target(m, sign) for m in ms for sign in (-1, 1)]
+
+
+def with_duplicate_row(problem, rhs_list):
+    """Problems sharing one record: ``problem``'s data with its first row
+    repeated, one per right-hand side (the repeat's rhs appended)."""
+    base = SdpProblem(problem.block_dims, problem.constraints + problem.constraints[:1],
+                      list(problem.rhs) + [problem.rhs[0]], problem.objective,
+                      dict(problem.meta))
+    out = []
+    for rhs in rhs_list:
+        p = copy(base)
+        p.rhs = rhs
+        out.append(p)
+    return out
+
+
+class TestBatchedSolve:
+    """solve_many runs problems that share one entry record in lockstep;
+    each must end exactly as it does alone."""
+
+    def test_table_groups_match_lone_solves(self):
+        from ncagm.cli import HEAVY_ROWS
+        groups = list(table_groups(HEAVY_ROWS))
+        assert len(groups) == 10 and sum(map(len, groups)) == 28
+        for group in groups:
+            for got, problem in zip(solve_many(group), group):
+                assert_same_solution(got, solve(problem))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unreduced_pairs_match_lone_solves(self, n):
+        to_target = retargeting(assemble_sdp(2, n, 1))
+        group = [to_target(m, sign) for m in range(2, n + 1) for sign in (-1, 1)]
+        for got, problem in zip(solve_many(group), group):
+            assert_same_solution(got, solve(problem))
+
+    def test_mixed_batch_keeps_each_outcome(self):
+        reduced, _ = symmetry_reduce(assemble_sdp(4, 4, -1))
+        to_target = retargeting(reduced)
+        lam1, lam2 = to_target(4, -1), to_target(4, 1)
+        # the repeated row contradicts its original in the third problem
+        contradictory = list(lam1.rhs) + [lam1.rhs[0] + 1.0]
+        batch = with_duplicate_row(reduced, [list(lam1.rhs) + [lam1.rhs[0]], contradictory,
+                                             list(lam2.rhs) + [lam2.rhs[0]]])
+        sols = solve_many(batch)
+        assert sols[1].status == "infeasible" and sols[1].iterations == 0
+        assert [sol.status for sol in (sols[0], sols[2])] == ["optimal", "optimal"]
+        assert sols[0].iterations != sols[2].iterations
+        # the Schur shift fires in lambda_2's run only
+        assert "schur_shift" not in dict(sols[0].fallbacks)
+        assert "schur_shift" in dict(sols[2].fallbacks)
+        for got, problem in zip(sols, batch):
+            assert_same_solution(got, solve(problem))
+        # the repeat changes nothing: the same run as without it, with a 0 dual
+        for got, problem in ((sols[0], lam1), (sols[2], lam2)):
+            alone = solve(problem)
+            assert got.dual[-1] == 0.0
+            assert got.dual[:-1].tobytes() == alone.dual.tobytes()
+            assert (got.objective_primal, got.iterations, got.fallbacks) == (
+                alone.objective_primal, alone.iterations, alone.fallbacks)
+
+    def test_problems_must_share_one_record(self):
+        a, b = assemble_sdp(2, 2, 1), assemble_sdp(2, 2, 1)
+        with pytest.raises(ValueError, match="share one entry record"):
+            solve_many([a, b])
+        shorter = copy(a)
+        shorter.rhs = a.rhs[:-1]
+        with pytest.raises(ValueError, match="share one entry record"):
+            solve_many([a, shorter])
+        assert solve_many([]) == []
+
+    def test_verbose_output_of_a_lone_solve(self, capsys):
+        problem = SdpProblem((1, 2), [{(0, 0, 0): 1.0, (1, 0, 1): 1.0}, {(1, 1, 1): 1.0}],
+                             [2.0, 1.0], {(0, 0, 0): 1.0, (1, 0, 0): 1.0})
+        sol = solve(problem, SolverOptions(verbose=True))
+        lines = capsys.readouterr().out.splitlines()
+        # one line per iteration, in the format of a lone solve
+        number = r"[+-]\d\.\d{8}e[+-]\d\d"
+        short = r"-?\d\.\d\de[+-]\d\d"
+        pattern = (rf"  iter +(\d+)  pobj {number}  dobj {number} gap {short}  "
+                   rf"pres {short}  dres {short}")
+        assert [int(re.fullmatch(pattern, line).group(1)) for line in lines] == list(
+            range(sol.iterations))
+        assert lines[0] == ("  iter   0  pobj +8.82842712e+00  dobj +0.00000000e+00 "
+                            "gap 5.95e+00  pres 1.29e+00  dres 2.71e+00")
+        # a batch prints each problem's lines as it does alone
+        sibling = copy(problem)
+        sibling.rhs = [3.0, 1.0]
+        solve(sibling, SolverOptions(verbose=True))
+        alone = lines + capsys.readouterr().out.splitlines()
+        solve_many([problem, sibling], SolverOptions(verbose=True))
+        assert sorted(capsys.readouterr().out.splitlines()) == sorted(alone)
+
+
+class TestFailureIsolation:
+    """A failure in one problem of a batch ends that problem only."""
+
+    @pytest.fixture
+    def batch(self):
+        reduced, _ = symmetry_reduce(assemble_sdp(2, 3, 1))
+        # the second problem's primal iterates are a million times larger
+        scaled = copy(reduced)
+        scaled.rhs = [1e6 * v for v in reduced.rhs]
+        return reduced, scaled
+
+    def patched_cholesky(self, monkeypatch, last_dim, limit):
+        """np.linalg.cholesky, failing on any stack of last dimension
+        ``last_dim`` that holds an entry above ``limit``; returns the
+        largest entry it saw in such a stack."""
+        cholesky = np.linalg.cholesky
+        seen = [0.0]
+
+        def failing(mat):
+            if np.shape(mat)[-1] == last_dim:
+                largest = float(np.abs(mat).max())
+                seen[0] = max(seen[0], largest)
+                if largest > limit:
+                    raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(mat)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        return seen
+
+    def test_iterate_factorization(self, batch, monkeypatch):
+        reduced, scaled = batch
+        alone = solve(reduced)
+        self.patched_cholesky(monkeypatch, max(reduced.block_dims), 1e5)
+        got, failed = solve_many([reduced, scaled])
+        assert_same_solution(got, alone)
+        # the scaled problem's starting iterate is already too large
+        assert failed.status == "numerical_failure"
+        assert failed.iterations == 1
+        assert failed.fallbacks == (("best_iterate", False),)
+
+    def test_schur_factorization(self, batch, monkeypatch):
+        reduced, scaled = batch
+        rows = len(_dedup_rows(reduced)[0])
+        # the largest Schur complement entry of the problem's own run
+        largest = self.patched_cholesky(monkeypatch, rows, np.inf)
+        alone = solve(reduced)
+        self.patched_cholesky(monkeypatch, rows, 10.0 * largest[0])
+        got, failed = solve_many([reduced, scaled])
+        assert_same_solution(got, alone)
+        # the Schur complements start equal, A A^T; the scaled problem's
+        # grows with its primal iterate, and then fails at any shift
+        assert failed.status == "numerical_failure"
+        assert 1 < failed.iterations < alone.iterations
+        assert dict(failed.fallbacks)["best_iterate"] is False
+
+    def test_non_finite_objective(self, batch):
+        reduced, _ = batch
+        alone = solve(reduced)
+        huge = copy(reduced)
+        huge.rhs = [1e300 * v for v in reduced.rhs]
+        failed, got = solve_many([huge, reduced])
+        assert_same_solution(got, alone)
+        # <Y, Z> overflows at the starting iterate
+        assert failed.status == "numerical_failure"
+        assert failed.iterations == 1
+        assert not np.isfinite(failed.gap)
+        assert failed.fallbacks == ()
