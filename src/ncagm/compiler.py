@@ -19,7 +19,7 @@ from itertools import combinations, permutations, product, zip_longest
 
 import numpy as np
 
-from .ncpoly import NCPolynomial, Permutation, distinct_product_sum
+from .ncpoly import NCPolynomial, distinct_product_sum
 from .sdp import SdpProblem
 
 
@@ -139,15 +139,14 @@ def assemble_sdp(m, n, sign):
     # (a, b) and (b, a) fall on one key when the word is a palindrome
     key, slot = np.unique(np.ravel_multi_index((row, blk, i, j), shape), return_inverse=True)
     val = np.bincount(slot, weights=val)
-    row, *entry = (x.tolist() for x in np.unravel_index(key[val != 0.0], shape))
-    constraints = [{} for _ in words]
-    for r, entry, v in zip(row, zip(*entry), val[val != 0.0].tolist()):
-        constraints[r][entry] = v
-    rhs = _target_rhs(m, n, sign, words)
-
+    nonzero = val != 0.0
+    row, blk, i, j = np.unravel_index(key[nonzero], shape)
     block_dims = (1,) + (q,) * (n + 1)
     meta = {"m": m, "n": n, "sign": sign, "d": d}
-    return SdpProblem(block_dims, constraints, rhs, {(0, 0, 0): 1.0}, meta)
+    # the objective, matrix 0, selects lambda: 1 at (0, 0) of block 0
+    return SdpProblem.from_entries(block_dims, *(np.append(0, x) for x in (row + 1, blk, i, j)),
+                                   np.append(1.0, val[nonzero]),
+                                   _target_rhs(m, n, sign, words), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +189,12 @@ class SymmetryOrbits:
         return np.asarray(y_reduced, dtype=float)[orbit] / sizes[orbit]
 
 
-def _generators(n):
-    gens = []
-    if n >= 2:
-        gens.append(Permutation.transposition(n, 1, 2))
-        gens.append(Permutation.cycle(n))
-    return gens
-
-
 def _generator_images(n):
-    """The generators of S_n as 0-based image arrays."""
-    return [np.array(g.images) - 1 for g in _generators(n)]
+    """The generators of S_n, the transposition (1 2) and the n-cycle
+    1 -> 2 -> ... -> n -> 1, as 0-based image arrays."""
+    if n < 2:
+        return []
+    return [_image(n, (1, 2), (2, 1)), np.roll(np.arange(n), -1)]
 
 
 def _word_perms(n, degree, sigmas):
@@ -432,17 +426,16 @@ def symmetry_reduce(problem):
         coefs.append(np.linalg.solve(np.array(lmap, dtype=float).T, weight[:, oids].T).T)
     coef = np.concatenate(coefs, axis=1)
 
+    # the block and upper-triangle entry of each column of coef
+    tri = [np.triu_indices(u.shape[1]) for _, u in components]
+    col_blk = np.repeat(np.arange(1, len(tri) + 1), [len(iu) for iu, _ in tri])
+    col_i, col_j = (np.concatenate(x) for x in zip(*tri))
     # entries that the solve leaves at rounding level are zeros
     tiny = 1e-12 * max(1.0, float(np.abs(coef).max()))
-    constraints = [{(0, 0, 0): float(v)} if v else {} for v in lam]
-    pos = 0
-    for j, (_, u) in enumerate(components, start=1):
-        iu, ju = np.triu_indices(u.shape[1])
-        # an off-diagonal entry is stored once for both mirrors
-        vals = coef[:, pos:pos + len(iu)] * np.where(iu == ju, 1.0, 0.5)
-        pos += len(iu)
-        for r, t in zip(*np.nonzero(np.abs(vals) > tiny)):
-            constraints[r][(j, int(iu[t]), int(ju[t]))] = float(vals[r, t])
+    # an off-diagonal entry is stored once for both mirrors
+    coef *= np.where(col_i == col_j, 1.0, 0.5)
+    r, col = np.nonzero(np.abs(coef) > tiny)
+    scalar = np.flatnonzero(lam)
     rhs = [problem.rhs[k] for k in word_reps]
 
     representatives = tuple((int(c) // (q * q) + 1, int(c) // q % q, int(c) % q) for c in reps)
@@ -451,7 +444,12 @@ def symmetry_reduce(problem):
     red_meta = dict(meta)
     red_meta.update(reduced=True, free_variables=len(reps))
     block_dims = (1,) + tuple(bas.shape[1] for _, bas in components)
-    reduced = SdpProblem(block_dims, constraints, rhs, {(0, 0, 0): 1.0}, red_meta)
+    # lambda's coefficients, the block entries, then the objective
+    zero = np.zeros_like(scalar)
+    reduced = SdpProblem.from_entries(
+        block_dims, np.concatenate([scalar + 1, r + 1, [0]]),
+        *(np.concatenate([zero, x[col], [0]]) for x in (col_blk, col_i, col_j)),
+        np.concatenate([lam[scalar], coef[r, col], [1.0]]), rhs, red_meta)
     return reduced, orbits
 
 

@@ -6,14 +6,16 @@ The primal problem is
     subject to  tr(Ci Y) = b_i,  i = 1..M
                 Y = diag(Y_1, ..., Y_K) >= 0  (PSD)
 
-with symmetric data matrices stored sparsely as upper-triangle coordinate
-maps {(block, row, col): value}, row <= col, each value standing for both
-mirror entries (the SDPA sparse convention).  A problem holds one such
-dict per constraint row and one for the objective.  Its construction walks
-them once, to validate them and to flatten them into ``entries``, one
-read-only record array in the SDPA entry layout; every later reader (the
-solver, the symmetry reduction, the PSD defect, the Farkas check and the
-SDPA writer) reads that record, not the dicts.
+with symmetric data matrices stored sparsely as upper-triangle entries
+(block, row, col, value), row <= col, each value standing for both mirror
+entries (the SDPA sparse convention).  A problem's data is ``entries``,
+one read-only record array in the SDPA entry layout, validated and sorted
+once when the problem is built; every reader (the solver, the symmetry
+reduction, the PSD defect, the Farkas check and the SDPA writer) reads
+that record.  ``SdpProblem.from_entries`` builds a problem from the
+record's columns, and the constructor from one {(block, row, col): value}
+dict per constraint row and one for the objective.  The ``constraints``
+and ``objective`` properties rebuild such dicts from the record as views.
 
 The solver is a primal-dual path-following method with a Mehrotra-style
 predictor-corrector and the HKM search direction.  Each block keeps its
@@ -64,54 +66,72 @@ class SdpError(ValueError):
     pass
 
 
-@dataclass
 class SdpProblem:
-    block_dims: tuple
-    constraints: list  # one {(block, i, j): value} per constraint, i <= j
-    rhs: list
-    objective: dict
-    meta: dict = field(default_factory=dict)
-    # read-only record array, fields matrix (0: the objective, k + 1: row k),
-    # block, i, j and value, sorted by (matrix, block, i, j); built from
-    # constraints and objective at construction, which are not read again
-    entries: np.recarray = field(init=False, repr=False, compare=False)
+    """Block dimensions, right-hand side, meta and ``entries``: the problem
+    data as one read-only record array with fields matrix (0: the
+    objective, k + 1: constraint row k), block, i and j (i <= j) and value,
+    sorted by (matrix, block, i, j).  ``from_entries`` builds a problem from
+    the record's five columns; the constructor takes one
+    {(block, i, j): value} dict per constraint row and one for the
+    objective, and flattens them into those columns, rows first."""
 
-    def __post_init__(self):
-        self.block_dims = tuple(int(d) for d in self.block_dims)
-        if not self.block_dims:
-            raise SdpError("a problem needs at least one block")
-        if any(d < 1 for d in self.block_dims):
-            raise SdpError("block dimensions must be positive")
-        if len(self.constraints) != len(self.rhs):
+    def __init__(self, block_dims, constraints, rhs, objective, meta=None):
+        if len(constraints) != len(rhs):
             raise SdpError("constraint/right-hand-side length mismatch")
-        if not np.isfinite(np.asarray(self.rhs, dtype=float)).all():
-            raise SdpError("right-hand side values must be finite")
-        data = [*self.constraints, self.objective]
+        data = [*constraints, objective]
         counts = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
         keys = np.fromiter(chain.from_iterable(chain.from_iterable(data)), dtype=np.intp)
         if len(keys) != 3 * counts.sum():
             raise SdpError("entry keys must be (block, i, j) triples")
-        blk, i, j = keys.reshape(-1, 3).T
+        values = np.fromiter(chain.from_iterable(e.values() for e in data), dtype=float,
+                             count=counts.sum())
+        matrix = np.repeat((np.arange(len(data)) + 1) % len(data), counts)
+        self._set(block_dims, matrix, *keys.reshape(-1, 3).T, values, rhs, meta)
+
+    @classmethod
+    def from_entries(cls, block_dims, matrix, block, i, j, value, rhs, meta=None):
+        """The problem whose data matrix ``matrix[t]`` holds ``value[t]`` at
+        (i[t], j[t]) and its mirror in block ``block[t]``, for each t, with
+        right-hand side ``rhs``.  Raises SdpError on an index out of range,
+        a non-finite value or a repeated (matrix, block, i, j)."""
+        problem = cls.__new__(cls)
+        problem._set(block_dims, matrix, block, i, j, value, rhs, meta)
+        return problem
+
+    def _set(self, block_dims, matrix, blk, i, j, values, rhs, meta):
+        self.block_dims = tuple(int(d) for d in block_dims)
+        self.rhs = rhs
+        self.meta = {} if meta is None else meta
+        if not self.block_dims:
+            raise SdpError("a problem needs at least one block")
+        if any(d < 1 for d in self.block_dims):
+            raise SdpError("block dimensions must be positive")
+        if not np.isfinite(np.asarray(rhs, dtype=float)).all():
+            raise SdpError("right-hand side values must be finite")
+        matrix, blk, i, j = (np.asarray(x, dtype=np.intp) for x in (matrix, blk, i, j))
+        values = np.asarray(values, dtype=float)
+        if not len(matrix) == len(blk) == len(i) == len(j) == len(values):
+            raise SdpError("entry arrays must have equal lengths")
         dims = np.array(self.block_dims)
         bad_block = (blk < 0) | (blk >= len(dims))
         dim = dims[np.where(bad_block, 0, blk)]
-        bad = np.flatnonzero(bad_block | (i < 0) | (i > j) | (j >= dim))
+        bad = np.flatnonzero((matrix < 0) | (matrix > len(rhs)) | bad_block | (i < 0) | (i > j)
+                             | (j >= dim))
         if len(bad):
-            t = bad[0]  # the first in walk order
+            t = bad[0]  # the first in array order
+            if not 0 <= matrix[t] <= len(rhs):
+                raise SdpError(f"matrix index {matrix[t]} out of range")
             if bad_block[t]:
                 raise SdpError(f"block index {blk[t]} out of range")
             raise SdpError(f"entry ({i[t]},{j[t]}) out of range for block of dim {dim[t]}")
         del bad_block, dim
-        values = np.fromiter(chain.from_iterable(e.values() for e in data), dtype=float,
-                             count=len(blk))
         if not np.isfinite(values).all():
             raise SdpError("constraint and objective values must be finite")
-        # the objective, walked last, is matrix 0; one int64 key sorts more
-        # than ten times faster than np.lexsort, and overflows only on
-        # problems far larger than the solver's padded (K, D, D) stack
-        matrix = np.repeat((np.arange(len(data)) + 1) % len(data), counts)
+        # one int64 key sorts more than ten times faster than np.lexsort,
+        # and overflows only on problems far larger than the solver's
+        # padded (K, D, D) stack
         span = max(self.block_dims)
-        if len(data) * len(dims) * span * span >= 2 ** 63:
+        if (len(rhs) + 1) * len(dims) * span * span >= 2 ** 63:
             raise SdpError("problem too large to index its entries in int64")
         key = matrix * len(dims) + blk
         key *= span
@@ -119,7 +139,13 @@ class SdpProblem:
         key *= span
         key += j
         order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeat = np.flatnonzero(key[1:] == key[:-1])
         del key
+        if len(repeat):
+            t = order[repeat[0]]  # the first in (matrix, block, i, j) order
+            raise SdpError(f"entry ({i[t]},{j[t]}) of block {blk[t]} repeated in matrix "
+                           f"{matrix[t]}")
         # field by field, so that one reordered copy exists at a time: the
         # record of the unreduced n = 5 problems sets the table's peak memory
         self.entries = np.recarray(len(order), formats=[np.intp] * 4 + [float],
@@ -128,9 +154,29 @@ class SdpProblem:
             self.entries[name] = x[order]
         self.entries.flags.writeable = False
 
+    def _dicts(self, lo, hi):
+        """Data matrices lo..hi-1 as {(block, i, j): value} dicts."""
+        cut = np.searchsorted(self.entries.matrix, [lo, hi])
+        out = [{} for _ in range(lo, hi)]
+        for k, blk, i, j, v in self.entries[cut[0]:cut[1]].tolist():
+            out[k - lo][blk, i, j] = v
+        return out
+
+    @property
+    def constraints(self):
+        """One {(block, i, j): value} dict per constraint row, rebuilt from
+        ``entries`` on each access."""
+        return self._dicts(1, len(self.rhs) + 1)
+
+    @property
+    def objective(self):
+        """The objective as a {(block, i, j): value} dict, rebuilt from
+        ``entries`` on each access."""
+        return self._dicts(0, 1)[0]
+
     @property
     def num_constraints(self):
-        return len(self.constraints)
+        return len(self.rhs)
 
     @property
     def num_blocks(self):

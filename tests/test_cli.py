@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ncagm.cli
+from ncagm import SdpProblem, assemble_sdp, symmetry_reduce
 from ncagm.cli import (
     EXIT_INVALID_CERTIFICATE,
     EXIT_NO_CERTIFICATE,
@@ -23,6 +24,7 @@ from ncagm.cli import (
     build_parser,
     main,
 )
+from ncagm.sdpa import render_sdpa
 
 
 # sha256 of the stdout of `ncagm table --heavy --format json`
@@ -441,6 +443,30 @@ def _readme_commands():
             if line.startswith("ncagm "):
                 commands.append(shlex.split(line)[1:])
     return commands
+
+
+class TestSingleRepresentation:
+    """Library paths read the problem data from its entry record only; the
+    dict views rebuild it for callers that hand-build or inspect problems."""
+
+    @pytest.mark.parametrize("symmetry", ["on", "off"])
+    def test_no_dict_view_read(self, symmetry, capsys, monkeypatch, tmp_path):
+        read = []
+
+        def fail(problem):
+            read.append(problem)
+            raise AssertionError("a dict view of the problem data was read")
+
+        for name in ("constraints", "objective"):
+            monkeypatch.setattr(SdpProblem, name, property(fail))
+        for argv in (["table"], ["solve", "--m", "3", "--n", "3", "--out", str(tmp_path / "run")],
+                     ["certify", "farkas", "--m", "3", "--n", "3", "--lambda", "2"]):
+            assert run(argv + ["--symmetry", symmetry], capsys)[0] == EXIT_OK
+        problem = assemble_sdp(3, 3, 1)
+        if symmetry == "on":
+            problem, _ = symmetry_reduce(problem)
+        render_sdpa(problem)
+        assert not read
 
 
 class TestReadmeCommands:

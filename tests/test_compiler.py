@@ -187,6 +187,7 @@ class TestCoefficientMatching:
         d = m // 2
         q = monomial_basis(n, d).size
         words = words_up_to(n, 2 * d + 1)
+        rows = prob.constraints
         # a d = 2 sample expands 31^2 Gram entries per block symbolically
         for _ in range(10 if d == 1 else 2):
             lam = rng.randint(-3, 3)
@@ -203,7 +204,7 @@ class TestCoefficientMatching:
             # coeff of w in the Gram expansion... i.e. tr(C_w Y) = rhs_w
             # exactly when the identity holds coefficient-wise
             target = distinct_product_sum(m, n)
-            for w, row, rhs in zip(words, prob.constraints, prob.rhs):
+            for w, row, rhs in zip(words, rows, prob.rhs):
                 acc = 0.0
                 for (blk, i, j), v in row.items():
                     if blk == 0:
@@ -246,10 +247,10 @@ class TestRetarget:
                 direct = assemble_sdp(m, n, sign)
                 got = retarget(full, m, sign)
                 assert render_sdpa(got) == render_sdpa(direct)
-                assert got.constraints is full.constraints
+                assert got.entries is full.entries
                 got = retarget(reduced, m, sign)
                 assert render_sdpa(got) == render_sdpa(symmetry_reduce(direct)[0])
-                assert got.constraints is reduced.constraints
+                assert got.entries is reduced.entries
                 assert got.block_dims == reduced.block_dims
 
     def test_targets_share_word_work(self, monkeypatch):

@@ -4,6 +4,7 @@ padded block stack against per-block references, and lockstep batches
 against lone solves."""
 
 import itertools
+import math
 import random
 import re
 from copy import copy
@@ -16,6 +17,8 @@ from ncagm import (
     SolverOptions,
     assemble_sdp,
     extract_farkas,
+    localizing_entry,
+    monomial_basis,
     retarget,
     solve,
     solve_many,
@@ -23,7 +26,7 @@ from ncagm import (
 )
 from ncagm import sdp
 from ncagm.certify import farkas_check
-from ncagm.compiler import retargeting
+from ncagm.compiler import retargeting, words_up_to
 from ncagm.sdp import (
     _TRI_LEAF,
     SdpError,
@@ -72,6 +75,15 @@ def random_lp(rng):
     objective = {(col, 0, 0): c[col] for col in range(k)}
     problem = SdpProblem(dims, constraints, list(b), objective)
     return problem, best
+
+
+def walk_arrays(constraints, objective):
+    """The (matrix, block, i, j, value) arrays of one dict per constraint row
+    and one for the objective, rows first, each dict in its own order."""
+    walk = [(k, *key, v) for k, entries in enumerate([*constraints, objective], start=1)
+            for key, v in entries.items()]
+    matrix, blk, i, j, value = zip(*walk)
+    return [k % (len(constraints) + 1) for k in matrix], blk, i, j, value
 
 
 def dense(problem, entries):
@@ -261,23 +273,58 @@ class TestEntryRecord:
             (3, 0, 1, 1, 2.0),
         ]
 
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_matches_the_dicts_of_an_assembled_problem(self, reduced):
-        problem = assemble_sdp(3, 3, -1)
-        if reduced:
-            problem, _ = symmetry_reduce(problem)
-        data = [problem.objective, *problem.constraints]
-        walk = sorted((k, *key, v) for k, entries in enumerate(data) for key, v in entries.items())
-        assert problem.entries.tolist() == walk
-        for k, entries in enumerate(data):
+    @pytest.mark.parametrize("m,n,sign", [(3, 3, 1), (3, 3, -1), (2, 4, 1)])
+    def test_rows_match_localizing_entries(self, m, n, sign):
+        # row w holds lambda on the unit word and minus the coefficient of w
+        # in rev(beta_a) l_i beta_b on Y_i[a, b], folded onto a <= b, each
+        # off-diagonal value standing for both mirrors
+        problem = assemble_sdp(m, n, sign)
+        basis = monomial_basis(n, m // 2)
+        index = {w: k for k, w in enumerate(words_up_to(n, 2 * basis.d + 1))}
+        expected = [{} for _ in index]
+        expected[0][0, 0, 0] = 1.0
+        for blk in range(1, n + 2):
+            for a, b in itertools.product(range(basis.size), repeat=2):
+                for word, c in localizing_entry(basis, blk, a, b).terms.items():
+                    key = (blk, min(a, b), max(a, b))
+                    row = expected[index[word]]
+                    row[key] = row.get(key, 0.0) - c * (1.0 if a == b else 0.5)
+        expected = [{key: v for key, v in row.items() if v} for row in expected]
+        assert problem.objective == {(0, 0, 0): 1.0}
+        assert problem.constraints == expected
+        assert problem.entries.tolist() == [(0, 0, 0, 0, 1.0)] + sorted(
+            (k + 1, *key, v) for k, row in enumerate(expected) for key, v in row.items())
+        for k, entries in enumerate([{(0, 0, 0): 1.0}, *expected]):
             for got, ref in zip(problem.dense_matrix(k), dense(problem, entries)):
                 assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_dict_constructor_rebuilds_record(self, n):
+        # every full and reduced problem with m <= n, both signs: the views
+        # carry the whole record
+        for m, sign in itertools.product(range(1, n + 1), (1, -1)):
+            full = assemble_sdp(m, n, sign)
+            for p in (full, symmetry_reduce(full)[0]):
+                back = SdpProblem(p.block_dims, p.constraints, p.rhs, p.objective, p.meta)
+                assert back.entries.tobytes() == p.entries.tobytes()
+
+    def test_views_equal_input_dicts(self):
+        constraints = [{(1, 0, 1): -0.0, (0, 0, 0): 2}, {}, {(1, 1, 1): 0.0, (1, 0, 0): -1.5}]
+        objective = {(1, 0, 0): -0.0}
+        problem = SdpProblem((1, 2), constraints, [1.0, 0.0, 2.0], objective)
+
+        def signed(entries):
+            return {key: (v, math.copysign(1.0, v)) for key, v in entries.items()}
+
+        assert list(map(signed, problem.constraints)) == list(map(signed, constraints))
+        assert signed(problem.objective) == signed(objective)
 
     def test_readers_match_dict_references(self):
         problem = assemble_sdp(3, 3, 1)
         # row dedup keyed by the dicts themselves
+        rows = problem.constraints
         seen, keep = set(), []
-        for k, entries in enumerate(problem.constraints):
+        for k, entries in enumerate(rows):
             key = tuple(sorted(entries.items()))
             if key not in seen:
                 seen.add(key)
@@ -286,15 +333,15 @@ class TestEntryRecord:
         assert kept == keep
         # every row points at the kept row with its dict, and repeats agree
         # on the rhs
-        for k, entries in enumerate(problem.constraints):
-            assert source[k] in keep and problem.constraints[source[k]] == entries
+        for k, entries in enumerate(rows):
+            assert source[k] in keep and rows[source[k]] == entries
             assert problem.rhs[source[k]] == problem.rhs[k]
         # y0*C0 + sum y_k C_k accumulated entry by entry in row order, with
         # some y_k = 0; the record's sum adds in the same order
         y = np.random.default_rng(5).standard_normal(problem.num_constraints)
         y[::3] = 0.0
         blocks = [-1.0 * blk for blk in dense(problem, problem.objective)]
-        for yk, entries in zip(y, problem.constraints):
+        for yk, entries in zip(y, rows):
             if yk != 0.0:
                 for (blk, i, j), v in entries.items():
                     blocks[blk][i, j] += yk * v
@@ -331,8 +378,32 @@ class TestEntryRecord:
         ([{(0, 0): 1.0}], {}, r"^entry keys must be \(block, i, j\) triples$"),
     ])
     def test_bad_keys_rejected(self, constraints, objective, message):
+        rhs = [0.0] * len(constraints)
         with pytest.raises(SdpError, match=message):
-            SdpProblem((1, 2), constraints, [0.0] * len(constraints), objective)
+            SdpProblem((1, 2), constraints, rhs, objective)
+        if "triples" not in message:
+            with pytest.raises(SdpError, match=message):
+                SdpProblem.from_entries((1, 2), *walk_arrays(constraints, objective), rhs)
+
+    @pytest.mark.parametrize("dims,arrays,message", [
+        # index ranges shared with the dict constructor are in
+        # test_bad_keys_rejected
+        ((1, 2), ([2], [0], [0], [0], [1.0]), r"^matrix index 2 out of range$"),
+        ((1, 2), ([-1], [0], [0], [0], [1.0]), r"^matrix index -1 out of range$"),
+        ((1, 2), ([1], [1], [0], [1], [math.nan]), r"values must be finite$"),
+        ((1, 2), ([0, 1], [0, 1], [0, 0], [0, 1], [1.0, -math.inf]), r"values must be finite$"),
+        ((2 ** 31,), ([1], [0], [0], [0], [1.0]), r"^problem too large"),
+        ((1, 2), ([1, 0], [0, 0], [0, 0], [0], [1.0, 1.0]), r"^entry arrays must have equal"),
+        # the first repeat in (matrix, block, i, j) order is the one reported
+        ((1, 2), ([1, 1, 0, 1, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 0, 1, 0],
+                  [1.0, 2.0, 1.0, 1.0, 1.0]),
+         r"^entry \(0,0\) of block 0 repeated in matrix 0$"),
+        ((1, 2), ([1, 1, 1], [1, 0, 1], [0, 0, 0], [1, 0, 1], [1.0, 2.0, -1.0]),
+         r"^entry \(0,1\) of block 1 repeated in matrix 1$"),
+    ])
+    def test_bad_arrays_rejected(self, dims, arrays, message):
+        with pytest.raises(SdpError, match=message):
+            SdpProblem.from_entries(dims, *arrays, [0.0])
 
     def test_rows_equal_up_to_signed_zero_deduplicated(self):
         problem = SdpProblem((1, 1), [{(0, 0, 0): 1.0, (1, 0, 0): 0.0},
@@ -395,8 +466,9 @@ class TestSvecCore:
         full = np.zeros((2, len(keep), len(keep)))
         parts = list(cons.schur_parts(y_stack, z_stack))
         assert len(parts) == len(problem.block_dims)
+        data = problem.constraints
         for k, (rows, got) in enumerate(zip(cons.rows, parts)):
-            on_block = [dense(problem, problem.constraints[row])[k] for row in keep]
+            on_block = [dense(problem, data[row])[k] for row in keep]
             # rows left out of the block are zero on it
             left_out = np.setdiff1d(np.arange(len(keep)), rows)
             assert all(not on_block[row].any() for row in left_out)
@@ -428,6 +500,7 @@ class TestSvecCore:
         x_stack = np.concatenate([cons.stack(blocks) for blocks in xs])
         ax = cons.a_of(x_stack)
         aty_stack = cons.at_of(y)
+        data = problem.constraints
         assert ax.shape == (2, len(keep))
         assert aty_stack.shape == x_stack.shape
         for p, aty_p in enumerate(np.split(aty_stack, 2)):
@@ -443,7 +516,7 @@ class TestSvecCore:
             # A(X)_i = tr(C_i X) against the dense data
             for pos, row in enumerate(keep):
                 ref = sum(float((c * x).sum())
-                          for c, x in zip(dense(problem, problem.constraints[row]), xs[p]))
+                          for c, x in zip(dense(problem, data[row]), xs[p]))
                 assert ax[p, pos] == pytest.approx(ref, rel=1e-12, abs=1e-12)
             # each problem's images are the ones it gets alone
             assert np.array_equal(ax[p], cons.a_of(cons.stack(xs[p]))[0])
@@ -700,9 +773,9 @@ def table_groups(heavy_rows):
 def with_duplicate_row(problem, rhs_list):
     """Problems sharing one record: ``problem``'s data with its first row
     repeated, one per right-hand side (the repeat's rhs appended)."""
-    base = SdpProblem(problem.block_dims, problem.constraints + problem.constraints[:1],
-                      list(problem.rhs) + [problem.rhs[0]], problem.objective,
-                      dict(problem.meta))
+    rows = problem.constraints
+    base = SdpProblem(problem.block_dims, rows + rows[:1], list(problem.rhs) + [problem.rhs[0]],
+                      problem.objective, dict(problem.meta))
     out = []
     for rhs in rhs_list:
         p = copy(base)

@@ -9,6 +9,7 @@ import pytest
 
 from ncagm import (
     InvarianceError,
+    Permutation,
     assemble_sdp,
     extract_farkas,
     farkas_check,
@@ -19,7 +20,7 @@ from ncagm import (
 from ncagm import compiler
 from ncagm.compiler import (
     _coordinate_perms,
-    _generators,
+    _generator_images,
     _orbit_labels,
     _word_perms,
     _young_bases,
@@ -72,6 +73,12 @@ def reference_orbits(n, d):
     return [word_orbit[w] for w in words], coord_orbit, reps
 
 
+def generators(n):
+    """The transposition (1 2) and the n-cycle, the generators of S_n that
+    the reduction uses, as Permutation objects."""
+    return [Permutation.transposition(n, 1, 2), Permutation.cycle(n)] if n >= 2 else []
+
+
 REFERENCE_CASES = [(1, 1), (2, 2), (1, 3), (2, 3), (2, 4), (4, 4)]
 
 
@@ -90,7 +97,8 @@ class TestOrbits:
 
         # the orbit routine on the Gram coordinates, over the whole grid
         q = monomial_basis(n, d).size
-        sigmas = [np.array(g.images) - 1 for g in _generators(n)]
+        sigmas = _generator_images(n)
+        assert [s.tolist() for s in sigmas] == [[x - 1 for x in g.images] for g in generators(n)]
         bperms = [perm[:q] for perm in _word_perms(n, d, sigmas)[:-1]]
         labels, _ = _orbit_labels(_coordinate_perms(n, q, sigmas, bperms), (n + 1) * q * q)
         grid = labels.reshape(n + 1, q, q)
@@ -283,7 +291,7 @@ class TestLiftDual:
         words = words_up_to(n, 2 * (m // 2) + 1)
         windex = {w: k for k, w in enumerate(words)}
         for k, w in enumerate(words):
-            images = [tuple(g(l) for l in w) for g in _generators(n)] + [w[::-1]]
+            images = [tuple(g(l) for l in w) for g in generators(n)] + [w[::-1]]
             for image in images:
                 assert y_full[windex[image]] == y_full[k]
 
