@@ -6,7 +6,9 @@ denominator-scaled integer matrix, once per orbit of blocks: S_n permutes
 the blocks Y_1..Y_n, so a block that equals Y_1 under the basis permutation
 of a letter transposition takes Y_1's verdict.  The expansion identity is
 compared word by word in integers over one common denominator.  Farkas
-certificates and explicit matrix instances are rechecked in floating point.
+certificates and explicit matrix instances are rechecked in floating point;
+a Farkas certificate's PSD bound is decided by Cholesky on blocks scattered
+here, not by the solver module's PSD-defect routine that measured it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from .compiler import monomial_basis
 from .ncpoly import distinct_product_sum
-from .sdp import psd_defect_of
 
 
 class CertificateError(ValueError):
@@ -281,8 +282,12 @@ def farkas_check(problem, cert, tolerance=1e-6):
     """Recompute a Farkas certificate's PSD defect and margin from the
     problem data.
 
-    Raises CertificateError when sum y_i C_i fails the PSD-defect bound;
-    a nonpositive margin is reported via the return value, not an error.
+    S = y0*C0 + sum y_i C_i is scattered into dense blocks here, with one
+    bincount over the problem's entry record, and each block must pass
+    tolerance*scale*I - S >= 0 by Cholesky: the check shares no code with
+    ``psd_defect_of``, which measured the defect when the certificate was
+    made.  Raises CertificateError when a block fails that bound; a
+    nonpositive margin is reported via the return value, not an error.
     """
     y = np.asarray(cert.y, dtype=float)
     if y.shape != (problem.num_constraints,):
@@ -290,14 +295,37 @@ def farkas_check(problem, cert, tolerance=1e-6):
             f"certificate indexes {y.shape[0]} constraints, "
             f"problem has {problem.num_constraints}"
         )
-    max_entry = float(np.abs(problem.entries.value).max(initial=0.0))
-    defect = psd_defect_of(problem, cert.y0, y)
+    e = problem.entries
+    max_entry = float(np.abs(e.value).max(initial=0.0))
     scale = (abs(cert.y0) + float(np.abs(y).sum())) * max_entry
-    if defect > tolerance * scale:
+    dims = np.array(problem.block_dims)
+    start = np.concatenate([[0], np.cumsum(dims * dims)])
+    # the upper triangle of each block, row-major from start[block]
+    upper = np.bincount(start[e.block] + e.i * dims[e.block] + e.j,
+                        weights=np.concatenate([[cert.y0], y])[e.matrix] * e.value,
+                        minlength=start[-1])
+    blocks = []
+    for lo, d in zip(start, dims):
+        u = upper[lo:lo + d * d].reshape(d, d)
+        blocks.append(u + np.triu(u, 1).T)
+    # scale is 0 only when every term of S is 0, which meets a bound of 0
+    if scale > 0 and not all(_below(block, tolerance * scale) for block in blocks):
+        defect = max(float(np.linalg.eigvalsh(block).max()) for block in blocks)
         raise CertificateError(
             f"PSD defect {defect:.3e} exceeds {tolerance:.1e} * scale ({scale:.3e})"
         )
     return float(cert.lambda_target * cert.y0 + np.asarray(problem.rhs) @ y)
+
+
+def _below(block, bound):
+    """Whether bound*I - block is positive definite, by Cholesky."""
+    gap = -block
+    gap.flat[::len(gap) + 1] += bound
+    try:
+        np.linalg.cholesky(gap)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,18 @@
 """Command-line front end: compile -> solve -> certify pipelines.
 
+``table`` splits its rows into (n, d) groups, d = m // 2: the rows of one
+group share every constraint, so each group is one build, its retargets
+and one ``solve_many`` (``_table_group``).  The groups are independent,
+and on Linux they run in W = min(groups, usable CPUs) forked worker
+processes, the CPUs being ``os.sched_getaffinity(0)``.  The group indices
+go heaviest first, in (d, n) descending order, into one task pipe, and
+each idle worker reads the next one; a worker sends each group's pickled
+records back over its own pipe and ends with ``os._exit``.  The parent
+runs no group itself and prints the records in row order.  A group whose
+worker ends before sending it becomes ERROR rows naming the worker's wait
+status.  With W = 1, or off Linux (fork after a numpy built on Accelerate
+is unsafe on macOS), the same ``_table_group`` calls run in-process.
+
 Exit codes: 0 success/verified, 1 no certificate exists for the requested
 target, 2 usage error, 3 solver non-optimal, 4 invalid certificate,
 5 instance violation found.
@@ -10,6 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import pickle
 import sys
 from itertools import groupby
 
@@ -81,12 +96,117 @@ def _table_group(ms, n, args):
     return [_table_row(m, n, next(sols), next(sols), args) for m in ms]
 
 
+_WORD = 4  # bytes of a group index in the task and result pipes
+
+
+def _worker_ended(status):
+    """A worker's wait status in words."""
+    if os.WIFSIGNALED(status):
+        return f"worker killed by signal {os.WTERMSIG(status)}"
+    return f"worker exited with status {os.WEXITSTATUS(status)}"
+
+
+def _serve(groups, args, tasks, out):
+    """Worker loop: run the groups whose indices ``tasks`` yields, until
+    its end.  Each index goes to ``out`` when its group is taken, so that a
+    worker that dies names the group it held, and the group's pickled
+    records follow, after their size, when it is done."""
+    with open(out, "wb") as fh:
+        while task := os.read(tasks, _WORD):
+            fh.write(task)
+            fh.flush()
+            ms, n = groups[int.from_bytes(task, "little")]
+            body = pickle.dumps(_table_group(ms, n, args))
+            fh.write(len(body).to_bytes(8, "little") + body)
+            fh.flush()
+
+
+def _receive(fd):
+    """({index: records} of the groups a worker sent, the index of the
+    group it took and did not send, or None), read from ``fd`` to its end."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    data = b"".join(chunks)
+    sent, at = {}, 0
+    while at + _WORD <= len(data):
+        index = int.from_bytes(data[at:at + _WORD], "little")
+        body = at + _WORD + 8
+        end = body + int.from_bytes(data[at + _WORD:body], "little")
+        if end > len(data):
+            return sent, index
+        sent[index] = pickle.loads(data[body:end])
+        at = end
+    return sent, None
+
+
+def _forked_groups(groups, args, workers):
+    """Records of each (ms, n) group, run in ``workers`` forked processes."""
+    order = sorted(range(len(groups)), reverse=True,
+                   key=lambda k: (groups[k][0][0] // 2, groups[k][1]))
+    records, errors = {}, {}
+    children = {}  # pid -> read end of its result pipe, until reaped
+    tasks, feed = os.pipe()
+    try:
+        # all indices go in before any worker reads, so that a worker sees
+        # the pipe's end only when every group is taken
+        with open(feed, "wb") as fh:
+            fh.write(b"".join(k.to_bytes(_WORD, "little") for k in order))
+        for _ in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in (read, *children.values()):
+                        os.close(fd)
+                    _serve(groups, args, tasks, write)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = read
+        for pid in list(children):
+            sent, held = _receive(children[pid])
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            records.update(sent)
+            if held is not None:
+                errors[held] = f"{_worker_ended(status)} before sending this group"
+    except BaseException:
+        import signal  # only here: `import ncagm.cli` does not load it
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for fd in (tasks, *children.values()):
+            os.close(fd)
+    for k, (ms, n) in enumerate(groups):
+        if k not in records:
+            error = errors.get(k, "every worker ended before taking this group")
+            records[k] = [_error_row(m, n, error) for m in ms]
+    return [records[k] for k in range(len(groups))]
+
+
+def _group_records(groups, args):
+    """Records of each (ms, n) group, in forked workers when more than one
+    CPU is usable on Linux, else in-process."""
+    workers = 1
+    if sys.platform == "linux":
+        workers = min(len(groups), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return [_table_group(ms, n, args) for ms, n in groups]
+    return _forked_groups(groups, args, workers)
+
+
 def cmd_table(args):
     """Solve both lambda problems per row of the grid and print the table."""
     rows = DEFAULT_ROWS + (HEAVY_ROWS if args.heavy else [])
-    records = []
-    for (n, _), group in groupby(rows, key=lambda row: (row[1], row[0] // 2)):
-        records += _table_group([m for m, _ in group], n, args)
+    groups = [([m for m, _ in group], n)
+              for (n, _), group in groupby(rows, key=lambda row: (row[1], row[0] // 2))]
+    records = [r for group in _group_records(groups, args) for r in group]
     text = format_table(records, args.format)
     if args.out:
         with open(args.out, "w") as fh:

@@ -546,6 +546,32 @@ class TestFarkasCheck:
         with pytest.raises(ValueError):
             farkas_check(problem, cert)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bound_decided_on_either_side(self, seed):
+        """A defect 1e-7 (relative) above tolerance*scale is rejected and one
+        1e-7 below is accepted; S is rebuilt here from ``dense_matrix``."""
+        rng = np.random.default_rng(seed)
+        dims = (3, 1, 4)
+        rows = []
+        for _ in range(4):
+            rows.append({(b, i, j): float(rng.normal()) for b, d in enumerate(dims)
+                         for i in range(d) for j in range(i, d) if rng.random() < 0.7})
+        objective = {(2, 0, 3): 1.5, (0, 1, 1): -0.5}
+        problem = SdpProblem(dims, rows, [1.0, -2.0, 0.5, 3.0], objective)
+        cert = FarkasCertificate(1.0, -1.0, rng.normal(size=4), 0.0, 0.0)
+        blocks = [cert.y0 * blk for blk in problem.dense_matrix(0)]
+        for k, yk in enumerate(cert.y):
+            for blk, add in zip(blocks, problem.dense_matrix(k + 1)):
+                blk += yk * add
+        defect = max(np.linalg.eigvalsh(blk).max() for blk in blocks)
+        scale = (1.0 + np.abs(cert.y).sum()) * max(abs(v) for v in problem.entries.value)
+        assert defect > 0.1 * scale
+        margin = float(cert.lambda_target * cert.y0 + np.asarray(problem.rhs) @ cert.y)
+        assert farkas_check(problem, cert, tolerance=defect / scale * (1 + 1e-7)) == margin
+        with pytest.raises(CertificateError, match=r"^PSD defect (\S+) exceeds") as err:
+            farkas_check(problem, cert, tolerance=defect / scale * (1 - 1e-7))
+        assert float(err.value.args[0].split()[2]) == pytest.approx(defect, rel=1e-3)
+
 
 class TestEvalInstance:
     def test_identity_tuple_tight(self):

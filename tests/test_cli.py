@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import pickle
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -76,23 +79,34 @@ class TestTable:
         assert code == EXIT_OK
         assert hashlib.sha256(stdout.encode()).hexdigest() == TABLE_HEAVY_JSON_SHA256
 
-    def test_one_build_per_n_and_degree(self, capsys, monkeypatch):
-        calls = {"assemble_sdp": 0, "symmetry_reduce": 0, "retargeting": 0}
-        for name in calls:
+    def test_one_build_per_n_and_degree(self, fan_out, capsys, monkeypatch, tmp_path):
+        # counted through a file, since the calls are made in the workers
+        log = tmp_path / "calls"
+        names = ("assemble_sdp", "symmetry_reduce", "retargeting")
+        for name in names:
             original = getattr(ncagm.cli, name)
 
             def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
+                fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+                try:
+                    os.write(fd, f"{_name}\n".encode())
+                finally:
+                    os.close(fd)
                 return _original(*args)
 
             monkeypatch.setattr(ncagm.cli, name, counted)
+
+        def calls():
+            lines = log.read_text().split()
+            return {name: lines.count(name) for name in names}
+
         assert run(["table", "--format", "csv"], capsys)[0] == EXIT_OK
-        assert calls == {"assemble_sdp": 8, "symmetry_reduce": 8, "retargeting": 8}
+        assert calls() == {"assemble_sdp": 8, "symmetry_reduce": 8, "retargeting": 8}
         # the ten (n, d) of --heavy, and nothing kept from one run to the next
         for total in (18, 28):
             assert run(["table", "--heavy", "--format", "csv"], capsys)[0] == EXIT_OK
-            assert calls == {"assemble_sdp": total, "symmetry_reduce": total,
-                             "retargeting": total}
+            assert calls() == {"assemble_sdp": total, "symmetry_reduce": total,
+                               "retargeting": total}
 
     def test_failed_build_fails_its_group_only(self, capsys, monkeypatch):
         original = ncagm.cli.symmetry_reduce
@@ -117,11 +131,111 @@ class TestTable:
                 assert record["verdict"] == "ok"
         assert by_key[(1, 3)]["lambda1"] == "3.0000"
 
+    def test_heavy_json_bytes_pinned_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, stdout, _ = run(["table", "--heavy", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(stdout.encode()).hexdigest() == TABLE_HEAVY_JSON_SHA256
+
+    @pytest.mark.parametrize("output_format", ["text", "csv"])
+    def test_workers_print_the_in_process_table(self, output_format, capsys, monkeypatch):
+        argv = ["table", "--format", output_format]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        in_process = run(argv, capsys)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert run(argv, capsys) == in_process
+
     def test_nonpositive_tol_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["table", "--tol", "0"])
         assert err.value.code == EXIT_USAGE
         assert "--tol must be positive" in capsys.readouterr().err
+
+
+@pytest.fixture
+def fan_out(monkeypatch):
+    """Two usable CPUs, whatever the host has, so that `table` forks two
+    workers."""
+    if sys.platform != "linux":
+        pytest.skip("table forks workers on Linux only")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    def test_no_child_left(self, fan_out, capsys):
+        assert run(["table", "--heavy"], capsys)[0] == EXIT_OK
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("death, error", [
+        ("exit", "worker exited with status 7 before sending this group"),
+        ("kill", "worker killed by signal 9 before sending this group"),
+    ], ids=["exit", "kill"])
+    def test_dying_worker_fails_its_group_only(self, death, error, fan_out, capsys,
+                                                monkeypatch):
+        parent = os.getpid()
+        original = ncagm.cli._table_group
+
+        def dying(ms, n, args):
+            if (ms, n) == ([4], 4) and os.getpid() != parent:
+                if death == "exit":
+                    os._exit(7)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(ms, n, args)
+
+        expected = {(r["m"], r["n"]): r
+                    for r in json.loads(run(["table", "--heavy", "--format", "json"],
+                                            capsys)[1])}
+        monkeypatch.setattr(ncagm.cli, "_table_group", dying)
+        code, stdout, _ = run(["table", "--heavy", "--format", "json"], capsys)
+        assert code == EXIT_SOLVER
+        records = {(r["m"], r["n"]): r for r in json.loads(stdout)}
+        assert records.keys() == expected.keys()
+        for key, record in records.items():
+            if key == (4, 4):
+                assert record == {"m": 4, "n": 4, "bound": "24.0000", "verdict": "ERROR",
+                                  "error": error}
+            else:
+                assert record == expected[key]
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_workers(self, fan_out, monkeypatch):
+        parent = os.getpid()
+
+        def stalled(ms, n, args):
+            if os.getpid() != parent:
+                time.sleep(5)
+
+        def interrupted(fd):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ncagm.cli, "_table_group", stalled)
+        monkeypatch.setattr(ncagm.cli, "_receive", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["table", "--heavy"])
+        # killed, not waited for
+        assert time.monotonic() - start < 4
+        assert_no_child_left()
+
+    def test_truncated_message_names_its_group(self):
+        body = pickle.dumps([{"m": 1, "n": 1}])
+
+        def message(index):
+            return index.to_bytes(4, "little") + len(body).to_bytes(8, "little") + body
+
+        for cut in (4, 8, 12, len(message(5)) - 1):
+            read, write = os.pipe()
+            os.write(write, message(3) + message(5)[:cut])
+            os.close(write)
+            try:
+                assert ncagm.cli._receive(read) == ({3: [{"m": 1, "n": 1}]}, 5)
+            finally:
+                os.close(read)
 
 
 class TestUsageErrors:
@@ -501,3 +615,18 @@ class TestDependencies:
         assert code == EXIT_OK
         assert set(outside) <= {"ncagm", "numpy"}
         assert "ncagm" in outside
+
+    def test_import_starts_no_process_machinery(self, tmp_path):
+        """`table` forks with os alone, and loads signal only on its failure
+        path, so importing the CLI costs no process or pool module."""
+        code = (
+            "import json, sys\n"
+            "import ncagm.cli\n"
+            "names = ['multiprocessing', 'concurrent.futures', 'subprocess', 'signal']\n"
+            "print(json.dumps([name for name in names if name in sys.modules]))\n"
+        )
+        src = str(Path(ncagm.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == []
