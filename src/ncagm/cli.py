@@ -3,15 +3,17 @@
 ``table`` splits its rows into (n, d) groups, d = m // 2: the rows of one
 group share every constraint, so each group is one build, its retargets
 and one ``solve_many`` (``_table_group``).  The groups are independent,
-and on Linux they run in W = min(groups, usable CPUs) forked worker
-processes, the CPUs being ``os.sched_getaffinity(0)``.  The group indices
-go heaviest first, in (d, n) descending order, into one task pipe, and
-each idle worker reads the next one; a worker sends each group's pickled
-records back over its own pipe and ends with ``os._exit``.  The parent
-runs no group itself and prints the records in row order.  A group whose
-worker ends before sending it becomes ERROR rows naming the worker's wait
-status.  With W = 1, or off Linux (fork after a numpy built on Accelerate
-is unsafe on macOS), the same ``_table_group`` calls run in-process.
+and on Linux the symmetry-reduced ones run in W = min(groups, usable CPUs)
+forked worker processes, the CPUs being ``os.sched_getaffinity(0)``.  The
+group indices go heaviest first, in (d, n) descending order, into one task
+pipe, and each idle worker reads the next one; a worker sends each group's
+pickled records back over its own pipe and ends with ``os._exit``.  The
+parent runs no group itself and prints the records in row order.  A group
+whose worker ends before sending it becomes ERROR rows naming the worker's
+wait status.  With W = 1, off Linux (fork after a numpy built on
+Accelerate is unsafe on macOS) or under ``--symmetry off``, the same
+``_table_group`` calls run in-process: the unreduced groups are
+BLAS-bound, and two of them at once slow each other down.
 
 Exit codes: 0 success/verified, 1 no certificate exists for the requested
 target, 2 usage error, 3 solver non-optimal, 4 invalid certificate,
@@ -154,7 +156,12 @@ def _forked_groups(groups, args, workers):
             fh.write(b"".join(k.to_bytes(_WORD, "little") for k in order))
         for _ in range(workers):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 status = 1
                 try:
@@ -191,10 +198,11 @@ def _forked_groups(groups, args, workers):
 
 
 def _group_records(groups, args):
-    """Records of each (ms, n) group, in forked workers when more than one
-    CPU is usable on Linux, else in-process."""
+    """Records of each (ms, n) group, in forked workers when the problems
+    are symmetry-reduced and more than one CPU is usable on Linux, else
+    in-process."""
     workers = 1
-    if sys.platform == "linux":
+    if sys.platform == "linux" and args.symmetry == "on":
         workers = min(len(groups), len(os.sched_getaffinity(0)))
     if workers < 2:
         return [_table_group(ms, n, args) for ms, n in groups]

@@ -27,25 +27,26 @@ with (x) the symmetric Kronecker product, on those rows only.  It is
 factored by Cholesky once per iteration, and the factor is inverted once
 so that every direction solve is two matrix-vector products.
 
-The iterates Y and Z and every per-block intermediate are held as one
-(K, D, D) stack, each block padded with zeros to the largest block size D.
-The padding stays exactly zero: the Cholesky factors of [Y + P; Z + P],
-with P the identity on the padding, are diag(L, I), and the padding adds
-only zero eigenvalues to the step-length problems.  So each Cholesky
-factorization, inverse, step-length eigenvalue problem and matrix product
-runs as one batched numpy call per iteration, whatever the block sizes;
-the reduced problems have many small blocks, where the fixed cost of a
-call outweighs its arithmetic.
+Each problem's K blocks are held as one (K, D, D) stack, each block padded
+with zeros to the largest block size D.  The padding stays exactly zero:
+the Cholesky factors of [Y + P; Z + P], with P the identity on the
+padding, are diag(L, I), and the padding adds only zero eigenvalues to the
+step-length problems.  So each Cholesky factorization, inverse,
+step-length eigenvalue problem and matrix product runs as one batched
+numpy call per iteration, whatever the block sizes; the reduced problems
+have many small blocks, where the fixed cost of a call outweighs its
+arithmetic.
 
 The same holds across problems.  ``solve_many`` takes problems that share
 one entry record, such as the retargeted copies of one problem, which
 differ only in the right-hand side, and runs them through the loop in
-lockstep: every stack gains a leading problem axis, (B * K, D, D) with
-each problem's K slices in turn, and vectors are (B, M).  The constraint
-data and its row deduplication are built once for the batch.  Each
-problem's arithmetic is the arithmetic of its lone solve, bit for bit:
-every batched call works on each problem's slices by themselves (LAPACK
-per matrix, one BLAS dot or matrix-vector product per problem), and each
+lockstep.  Every iterate, direction and factor has one leading problem
+axis, (B, K, D, D), and every vector is (B, M); the objective C0 and the
+padding P are one (K, D, D) stack that broadcasts over that axis.  The
+constraint data and its row deduplication are built once for the batch.
+Each problem's arithmetic is the arithmetic of its lone solve, bit for
+bit: every batched call works on each problem by itself (LAPACK per
+matrix, one BLAS dot or matrix-vector product per problem), and each
 problem keeps its own stopping tests, best iterate, stall count, Schur
 shift and refinement steps.  A problem that stops, or whose factorization
 fails, leaves the batch.  ``solve`` is ``solve_many`` of one problem.
@@ -272,9 +273,9 @@ class _SvecConstraints:
     Block matrices travel as one (K, D, D) stack per problem: block k sits
     in the leading d_k x d_k corner of slice k, and the rest of the slice,
     its padding, is zero.  ``pad`` is the identity on each slice's padding.
-    B problems travel as their stacks laid end to end, (B * K, D, D), and
-    vectors as (B, M) arrays: ``a_of`` maps such stacks to vectors and
-    ``at_of`` back, each problem on its own.
+    B problems travel as a (B, K, D, D) array and their vectors as a (B, M)
+    array: ``a_of`` maps the one to the other and ``at_of`` back, each
+    problem on its own.
     svec(X) = scale * X[iu, ju] over the upper triangle of a D x D slice,
     so that svec(X) . svec(W) = <X, W> for symmetric X and W; the svec of
     block k is its part with ju < d_k, which lists the upper triangle of a
@@ -362,9 +363,9 @@ class _SvecConstraints:
         return self._works[count]
 
     def a_of(self, mats):
-        """A(X) of each problem's stack in the (B * K, D, D) array ``mats``:
-        a (B, M) array."""
-        flat = mats.reshape(-1, self.pad.size)
+        """A(X) of each stack in the (B, K, D, D) array ``mats``: a (B, M)
+        array."""
+        flat = mats.reshape(len(mats), -1)
         vecs, parts, blocks, bins = self._work(len(flat))[:4]
         # the positions are in range; "clip" spares the copy that the
         # default mode makes of ``out``
@@ -377,7 +378,7 @@ class _SvecConstraints:
                            minlength=len(flat) * self.m).reshape(len(flat), self.m)
 
     def at_of(self, y):
-        """A^T(y) of each row of the (B, M) array ``y``: a (B * K, D, D)
+        """A^T(y) of each row of the (B, M) array ``y``: a (B, K, D, D)
         array."""
         coefs, half, blocks = self._work(len(y))[4:]
         np.take(y, self._rows, axis=1, out=coefs, mode="clip")
@@ -387,7 +388,7 @@ class _SvecConstraints:
         out = np.zeros((len(y), self.pad.size))
         out[:, self._svec_at] = values
         out[:, self._mirror_at] = values
-        return out.reshape((-1,) + self.pad.shape[1:])
+        return out.reshape((len(y),) + self.pad.shape)
 
     def max_row_norm(self):
         """Largest Frobenius norm of one constraint matrix on one block."""
@@ -398,8 +399,8 @@ class _SvecConstraints:
         S_ij = tr(C_i Y C_j Z^-1), as A (Y (x) Z^-1) A^T with the symmetric
         Kronecker product in svec coordinates, built one block at a time."""
         # (K, B, D * D), so that each block's slices are contiguous
-        flat_ys, flat_zs = (np.ascontiguousarray(x.reshape(-1, len(self.dims), self.dim ** 2)
-                                                 .swapaxes(0, 1)) for x in (ys, z_invs))
+        flat_ys, flat_zs = (np.ascontiguousarray(x.reshape(*x.shape[:2], -1).swapaxes(0, 1))
+                            for x in (ys, z_invs))
         for a, dim, y, z in zip(self.a, self.dims, flat_ys, flat_zs):
             at_y, at_z, half_outer = self._kron[dim]
             # Y_ij Z_ji, Y_ii Z_jj and Y_jj Z_ii; the products and the
@@ -419,7 +420,7 @@ class _SvecConstraints:
     def schur(self, ys, z_invs):
         """Each problem's S_ij = tr(C_i Y C_j Z^-1), each block adding onto
         the rows it touches: a (B, M, M) array."""
-        s = np.zeros((len(ys) // len(self.dims), self.m, self.m))
+        s = np.zeros((len(ys), self.m, self.m))
         for ix, part in zip(self._schur_ix, self.schur_parts(ys, z_invs)):
             s[ix] += part
         return s
@@ -493,22 +494,19 @@ def _sym(mats):
     return 0.5 * (mats + _t(mats))
 
 
-def _dots(xs, ws, count):
-    """For each of ``count`` problems, the inner product of its part of xs
-    with its part of ws, or with all of ws when ws holds one problem's, as
-    a list of floats: one np.vdot each, as for a single problem.  A
-    problem's part of a (B * K, D, D) stack is its K slices, of a (B, M)
-    array its row."""
-    xs = xs.reshape(count, -1)
-    if ws.size != xs.size:
+def _dots(xs, ws):
+    """For each problem p, the inner product of xs[p] with ws[p], or with
+    all of ws when ws lacks the problem axis, as a list of floats: one
+    np.vdot each, as for a single problem."""
+    if ws.ndim < xs.ndim:
         return [float(np.vdot(ws, x)) for x in xs]
-    return [float(np.vdot(x, w)) for x, w in zip(xs, ws.reshape(count, -1))]
+    return [float(np.vdot(x, w)) for x, w in zip(xs, ws)]
 
 
-def _scaled(values, stack):
-    """Each problem's part of a (B * K, D, D) stack times its entry of the
-    (B,) array ``values``."""
-    return (values[:, None] * stack.reshape(len(values), -1)).reshape(stack.shape)
+def _scaled(values, stacks):
+    """Each problem's (K, D, D) stack times its entry of the (B,) array
+    ``values``."""
+    return values[:, None, None, None] * stacks
 
 
 def _add_to_diagonal(mat, value):
@@ -522,28 +520,28 @@ def _add_to_diagonal(mat, value):
 _STEP_SCALE = 0.98
 
 
-def _max_steps(deltas, chol_invs, count):
-    """For each of ``count`` problems, the largest alpha_p and alpha_d
-    keeping Y + alpha_p dY and Z + alpha_d dZ PSD, per Cholesky scaling: a
-    (2, B) array.  ``deltas`` stacks [dY; dZ] and ``chol_invs`` the inverse
-    factors [L(Y)^-1; L(Z)^-1] of the same blocks, each half a (B * K, D, D)
-    stack of the batch.  Padding, zero in every delta, gives zero
-    eigenvalues, which set no bound."""
+def _max_steps(deltas, chol_invs):
+    """For each of B problems, the largest alpha_p and alpha_d keeping
+    Y + alpha_p dY and Z + alpha_d dZ PSD, per Cholesky scaling: a (2, B)
+    array.  ``deltas`` stacks [dY; dZ] and ``chol_invs`` the inverse
+    factors [L(Y)^-1; L(Z)^-1] of the same blocks, each a (2B, K, D, D)
+    array.  Padding, zero in every delta, gives zero eigenvalues, which set
+    no bound."""
     w = chol_invs @ deltas @ _t(chol_invs)
-    lam = np.linalg.eigvalsh(_sym(w)).min(axis=-1).reshape(2, count, -1)
+    lam = np.linalg.eigvalsh(_sym(w)).min(axis=-1).reshape(2, len(w) // 2, -1)
     bound = lam < -1e-14
     return np.where(bound, -1.0 / np.where(bound, lam, -1.0), np.inf).min(axis=-1)
 
 
-def _shifted_cholesky(s, plain=True):
+def _shifted_cholesky(s):
     """Cholesky factor of one Schur complement, with the smallest diagonal
-    shift in the escalating sequence that lets it factor (starting past 0
-    unless ``plain``), and that shift relative to the trace scale.  The
-    Schur complement of PD iterates is PSD, so a shift of 100 times its
-    mean diagonal factors any finite one; when even that fails, the
+    shift in the escalating sequence 0, 1e-14, 1e-12, ... (relative to the
+    trace scale) that lets it factor, and that relative shift.  The Schur
+    complement of PD iterates is PSD, so a shift of 100 times its mean
+    diagonal factors any finite one; when even that fails, the
     LinAlgError propagates."""
     scale = max(float(np.trace(s)) / max(s.shape[0], 1), 1e-300)
-    shift = 0.0 if plain else 1e-14 * scale
+    shift = 0.0
     while True:
         try:
             return np.linalg.cholesky(_add_to_diagonal(s, shift) if shift else s), shift / scale
@@ -571,9 +569,8 @@ class _SchurFactor:
             chol = np.linalg.cholesky(s)
             self.shift = [0.0] * len(s)
         except np.linalg.LinAlgError:
-            # escalate on each problem by itself; a lone problem's plain
-            # factorization is the one that just failed
-            chol, self.shift = map(list, zip(*(_shifted_cholesky(x, len(s) > 1) for x in s)))
+            # escalate on each problem by itself
+            chol, self.shift = map(list, zip(*map(_shifted_cholesky, s)))
             chol = np.stack(chol)
         self.chol_inv = invert(chol)
 
@@ -582,55 +579,46 @@ class _SchurFactor:
         # refinement keeps the computed direction accurate once the Schur
         # complement turns ill-conditioned near the optimum, which would
         # otherwise erode primal feasibility; a problem stops refining when
-        # its residual stalls, and the others refine on
+        # its residual stalls (a nan residual counts as improving), and the
+        # others refine on
         s, chol_inv, chol_inv_t = self.s, self.chol_inv, _t(self.chol_inv)
         rhs = rhs[..., None]
         x = chol_inv_t @ (chol_inv @ rhs)
         r = rhs - s @ x
-        best, best_res = x, [math.sqrt(v) for v in _dots(r, r, len(r))]
-        on = list(range(len(best)))  # the problems still refining
+        best, best_res = x, np.sqrt(_dots(r, r))
+        on = np.ones(len(x), dtype=bool)  # the problems still refining
         for _ in range(4):
             x = x + chol_inv_t @ (chol_inv @ r)
             r = rhs - s @ x
-            res = [math.sqrt(v) for v in _dots(r, r, len(r))]
-            going = [k for k, p in enumerate(on) if not res[k] >= best_res[p]]
-            if not going:
+            res = np.sqrt(_dots(r, r))
+            on &= ~(res >= best_res)
+            if not on.any():
                 break
-            if len(going) < len(on):
-                on = [on[k] for k in going]
-                res = [res[k] for k in going]
-                s, chol_inv, chol_inv_t, rhs, x, r = (
-                    v[going] for v in (s, chol_inv, chol_inv_t, rhs, x, r))
-            if len(on) == len(best):
-                best = x
-            else:
-                best[on] = x
-            for p, value in zip(on, res):
-                best_res[p] = value
+            best = np.where(on[:, None, None], x, best)
+            best_res = np.where(on, res, best_res)
         return best[..., 0]
 
 
-def _factorize(cons, ys, zs, pads, eye, invert):
-    """For the iterates Y and Z of B problems, each (B * K, D, D): the
-    inverse Cholesky factors [L(Y)^-1; L(Z)^-1], Z^-1 and the Schur
-    factorization of each problem; raises LinAlgError when any problem's
-    fails.  ``pads`` stacks the padding identity for [Y; Z], and
+def _factorize(cons, ys, zs, eye, invert):
+    """For the (B, K, D, D) iterates Y and Z of B problems: the inverse
+    Cholesky factors [L(Y)^-1; L(Z)^-1], Z^-1 and the Schur factorization
+    of each problem; raises LinAlgError when any problem's fails.
     ``invert`` inverts the Schur factors."""
     # the padded factors are diag(L, I), exactly
-    chols = np.linalg.cholesky(np.concatenate([ys, zs]) + pads)
+    chols = np.linalg.cholesky(np.concatenate([ys, zs]) + cons.pad)
     # numpy 1.x reads a (d, d) right-hand side against a stack as a stack
     # of vectors, so the identity ``eye`` comes as a stack of one
     chol_invs = np.linalg.solve(chols, eye)
     # Z^-1 by a second solve: the product L^-T L^-1 rounds differently and
     # sends the near-degenerate (4,4,+1) solve to its best iterate
-    z_invs = _sym(np.linalg.solve(_t(chols[len(ys):]), chol_invs[len(ys):])) - pads[len(ys):]
+    z_invs = _sym(np.linalg.solve(_t(chols[len(ys):]), chol_invs[len(ys):])) - cons.pad
     return chol_invs, z_invs, _SchurFactor(cons.schur(ys, z_invs), invert)
 
 
-def _factorizes(cons, ys, zs, pads, eye):
-    """Whether one problem's iterate factors, as _factorize does it."""
+def _factorizes(cons, ys, zs, eye):
+    """Whether the iterates factor, as _factorize does it."""
     try:
-        _factorize(cons, ys, zs, pads, eye, _tril_inverse)
+        _factorize(cons, ys, zs, eye, _tril_inverse)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -661,8 +649,8 @@ class _Run:
                   f"gap {rel_gap:.2e}  pres {pres:.2e}  dres {dres:.2e}")
         # on a dual feasible iterate pobj - dobj = <Y, Z> + y'(A(Y) - b), so
         # a primal residual near the tolerance can still leave the
-        # objectives apart when y is large; the best iterate must have both
-        # close
+        # objectives apart when y is large; an optimal or best iterate must
+        # have both close
         obj_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         merit = max(abs(rel_gap), pres, dres, obj_gap)
         if np.isfinite(merit) and (self.best is None or merit < self.best[0]):
@@ -673,7 +661,7 @@ class _Run:
             self.stall += 1
         # the starting iterate is never reported as optimal, however loose
         # the tolerance: at least one step must have been taken
-        if it and rel_gap <= opts.tolerance and pres <= opts.tolerance and dres <= opts.tolerance:
+        if it and merit <= opts.tolerance:
             self.status = "optimal"
         elif self.stall >= 6:
             # residuals stopped improving; the best iterate seen is as good
@@ -765,77 +753,66 @@ def _lockstep(cons, c0, norm_c, b, opts):
     """The interior-point loop on the problems whose kept right-hand sides
     are the rows of ``b``; returns one finished _Run per problem."""
     nu = sum(cons.dims)
-    count = len(b)
-    k = len(cons.dims)
-    # the objective and the padding identity in every problem's slices of
-    # a (B * K, D, D) stack; as the batch shrinks, their leading slices
-    c0s = np.tile(c0, (count, 1, 1))
-    pads = np.tile(cons.pad, (2 * count, 1, 1))
     eye = np.eye(cons.dim)[None]
-    invert = _TrilInverse((count, cons.m, cons.m))
+    invert = _TrilInverse((len(b), cons.m, cons.m))
     runs = [_Run() for _ in b]
-    at = np.arange(count)  # the problem in each slot of the batch
-    norm_b = np.sqrt(_dots(b, b, count))
+    live = runs  # the run of each problem still in the batch
+    norm_b = np.sqrt(_dots(b, b))
     norm_c0 = max(norm_c, float(np.linalg.norm(c0)))
-    alpha0 = np.array([1.0 + x + norm_c0 for x in np.abs(b).max(axis=1, initial=0.0).tolist()])
-    ys = _scaled(alpha0, eye - pads[:count * k])
+    alpha0 = 1.0 + np.abs(b).max(axis=1, initial=0.0) + norm_c0
+    ys = _scaled(alpha0, eye - cons.pad)
     zs = ys.copy()
     y = np.zeros(b.shape)
 
-    def keep_only(slots):
-        nonlocal count, at, b, norm_b, ys, zs, y, rd, gap, c0s, pads, invert
-        count, blocks = len(slots), (len(slots) * k, cons.dim, cons.dim)
-        invert = _TrilInverse((count, cons.m, cons.m))
-        at, b, norm_b, y, gap = (x[slots] for x in (at, b, norm_b, y, gap))
-        ys, zs, rd = (x.reshape(len(x) // k, -1)[slots].reshape(blocks) for x in (ys, zs, rd))
-        c0s, pads = c0s[:count * k], pads[:2 * count * k]
+    def keep_only(going):
+        nonlocal live, b, norm_b, ys, zs, y, rd, gap, invert
+        live = [live[p] for p in going]
+        b, norm_b, ys, zs, y, rd, gap = (x[going] for x in (b, norm_b, ys, zs, y, rd, gap))
+        invert = _TrilInverse((len(going), cons.m, cons.m))
 
     for it in range(opts.max_iterations):
-        pobj = _dots(ys, c0, count)
-        dobj = _dots(b, y, count)
+        pobj = _dots(ys, c0)
+        dobj = _dots(b, y)
         rp = b - cons.a_of(ys)
-        rd = c0s - cons.at_of(y) - zs
-        gap = np.array(_dots(ys, zs, count))
+        rd = c0 - cons.at_of(y) - zs
+        gap = np.array(_dots(ys, zs))
         # the scalars of each problem's tests are Python floats, as for one
         # problem, so that an inf or a nan in one of them warns of nothing
-        going = [p for p, (po, do, g, rp2, rd2, nb) in enumerate(zip(
-                     pobj, dobj, gap.tolist(), _dots(rp, rp, count), _dots(rd, rd, count),
+        going = [p for p, (run, po, do, g, rp2, rd2, nb) in enumerate(zip(
+                     live, pobj, dobj, gap.tolist(), _dots(rp, rp), _dots(rd, rd),
                      norm_b.tolist()))
-                 if runs[at[p]].goes_on(it, ys[p * k:(p + 1) * k], y[p], po, do, g,
-                                        math.sqrt(rp2) / (1.0 + nb),
-                                        math.sqrt(rd2) / (1.0 + norm_c), opts)]
-        if len(going) < count:
+                 if run.goes_on(it, ys[p], y[p], po, do, g, math.sqrt(rp2) / (1.0 + nb),
+                                math.sqrt(rd2) / (1.0 + norm_c), opts)]
+        if len(going) < len(live):
             keep_only(going)
             if not going:
                 break
 
         try:
-            chol_invs, z_invs, factor = _factorize(cons, ys, zs, pads, eye, invert)
+            chol_invs, z_invs, factor = _factorize(cons, ys, zs, eye, invert)
         except np.linalg.LinAlgError:
             # end only the problems whose own factorization fails; a lone
             # problem is the one that failed
-            going = [p for p in range(count) if count > 1 and _factorizes(
-                cons, ys[p * k:(p + 1) * k], zs[p * k:(p + 1) * k], pads[:2 * k], eye)]
-            for p in set(range(count)) - set(going):
-                runs[at[p]].status = "numerical_failure"
+            going = [p for p in range(len(live)) if len(live) > 1 and _factorizes(
+                cons, ys[p:p + 1], zs[p:p + 1], eye)]
+            for p in set(range(len(live))) - set(going):
+                live[p].status = "numerical_failure"
             keep_only(going)
             if not going:
                 break
-            chol_invs, z_invs, factor = _factorize(cons, ys, zs, pads, eye, invert)
-        for p, shift in zip(at.tolist(), factor.shift):
-            runs[p].max_shift = max(runs[p].max_shift, shift)
+            chol_invs, z_invs, factor = _factorize(cons, ys, zs, eye, invert)
+        for run, shift in zip(live, factor.shift):
+            run.max_shift = max(run.max_shift, shift)
 
         hyrz = _sym(ys @ rd @ z_invs)
-        a_both = cons.a_of(np.concatenate([hyrz, z_invs]))
-        a_hyrz, a_z_invs = a_both[:count], a_both[count:]
+        a_hyrz, a_z_invs = np.split(cons.a_of(np.concatenate([hyrz, z_invs])), 2)
 
         # predictor (affine scaling)
         dy_a = factor.solve(b + a_hyrz)
         dz_a = rd - cons.at_of(dy_a)
         dy_blocks_a = -ys - _sym(ys @ dz_a @ z_invs)
-        ap, ad = np.minimum(1.0, _max_steps(np.concatenate([dy_blocks_a, dz_a]), chol_invs,
-                                            count))
-        gap_aff = _dots(ys + _scaled(ap, dy_blocks_a), zs + _scaled(ad, dz_a), count)
+        ap, ad = np.minimum(1.0, _max_steps(np.concatenate([dy_blocks_a, dz_a]), chol_invs))
+        gap_aff = _dots(ys + _scaled(ap, dy_blocks_a), zs + _scaled(ad, dz_a))
         # sigma, clipped to [1e-10, 1], times mu
         sigma_mu = np.array([
             min(max((max(g_aff, 0.0) / g) ** 3 if g > 0 else 0.1, 1e-10), 1.0) * (g / nu)
@@ -848,7 +825,7 @@ def _lockstep(cons, c0, norm_c, b, opts):
         dz = rd - cons.at_of(dy)
         dy_blocks = _scaled(sigma_mu, z_invs) - ys - _sym(ys @ dz @ z_invs) - corr
         ap, ad = np.minimum(1.0, _STEP_SCALE * _max_steps(np.concatenate([dy_blocks, dz]),
-                                                          chol_invs, count))
+                                                          chol_invs))
 
         ys = _sym(ys + _scaled(ap, dy_blocks))
         zs = _sym(zs + _scaled(ad, dz))
@@ -858,8 +835,8 @@ def _lockstep(cons, c0, norm_c, b, opts):
     else:
         # out of iterations: the problems still in the batch end at the
         # last step taken
-        for p, run in enumerate(runs[q] for q in at.tolist()):
-            run.last = (ys[p * k:(p + 1) * k], y[p]) + run.last[2:]
+        for run, ys_p, y_p in zip(live, ys, y):
+            run.last = (ys_p, y_p) + run.last[2:]
     return runs
 
 

@@ -222,6 +222,47 @@ class TestWorkers:
         assert time.monotonic() - start < 4
         assert_no_child_left()
 
+    def test_unreduced_table_runs_in_process(self, fan_out, capsys, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        def stub(ms, n, args):
+            return [ncagm.cli._error_row(m, n, "stub") for m in ms]
+
+        monkeypatch.setattr(ncagm.cli, "_table_group", stub)
+        monkeypatch.setattr(os, "fork", counted)
+        in_process = run(["table", "--symmetry", "off", "--format", "json"], capsys)
+        assert forks == []
+        # the reduced table forks its two workers
+        assert run(["table", "--format", "json"], capsys) == in_process
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fails", [1, 2])
+    def test_failed_fork_closes_its_pipe(self, fails, fan_out, monkeypatch):
+        # fork ``fails`` raises; the workers forked before it are killed
+        forks = []
+        fork = os.fork
+
+        def failing():
+            forks.append(os.getpid())
+            if len(forks) == fails:
+                raise OSError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(ncagm.cli, "_table_group", lambda ms, n, args: time.sleep(5))
+        monkeypatch.setattr(os, "fork", failing)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="Resource temporarily unavailable"):
+            main(["table"])
+        assert len(forks) == fails
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert_no_child_left()
+
     def test_truncated_message_names_its_group(self):
         body = pickle.dumps([{"m": 1, "n": 1}])
 

@@ -461,8 +461,8 @@ class TestSvecCore:
         ys = [[random_pd(rng, d) for d in problem.block_dims] for _ in range(2)]
         z_invs = [[np.linalg.inv(random_pd(rng, d)) for d in problem.block_dims]
                   for _ in range(2)]
-        y_stack = np.concatenate([cons.stack(blocks) for blocks in ys])
-        z_stack = np.concatenate([cons.stack(blocks) for blocks in z_invs])
+        y_stack = np.stack([cons.stack(blocks) for blocks in ys])
+        z_stack = np.stack([cons.stack(blocks) for blocks in z_invs])
         full = np.zeros((2, len(keep), len(keep)))
         parts = list(cons.schur_parts(y_stack, z_stack))
         assert len(parts) == len(problem.block_dims)
@@ -487,7 +487,7 @@ class TestSvecCore:
             # every block's part lands on its own rows of the assembled matrix
             assert np.linalg.norm(s[p] - full[p]) <= 1e-10 * np.linalg.norm(full[p])
             # and each problem's complement is the one it gets alone
-            alone = cons.schur(cons.stack(ys[p]), cons.stack(z_invs[p]))
+            alone = cons.schur(cons.stack(ys[p])[None], cons.stack(z_invs[p])[None])
             assert np.array_equal(s[p], alone[0])
 
     # reduced (5,5) interleaves sizes: blocks (1, 8, 6, 1, 1, 4, 4, 1, 1)
@@ -497,13 +497,13 @@ class TestSvecCore:
         rng = np.random.default_rng(4)
         xs = [[random_sym(rng, d) for d in problem.block_dims] for _ in range(2)]
         y = rng.standard_normal((2, len(keep)))
-        x_stack = np.concatenate([cons.stack(blocks) for blocks in xs])
+        x_stack = np.stack([cons.stack(blocks) for blocks in xs])
         ax = cons.a_of(x_stack)
         aty_stack = cons.at_of(y)
         data = problem.constraints
         assert ax.shape == (2, len(keep))
         assert aty_stack.shape == x_stack.shape
-        for p, aty_p in enumerate(np.split(aty_stack, 2)):
+        for p, aty_p in enumerate(aty_stack):
             # A^T(y) is zero on the padding
             assert np.array_equal(aty_p, cons.stack(cons.unstack(aty_p)))
             aty = cons.unstack(aty_p)
@@ -519,8 +519,8 @@ class TestSvecCore:
                           for c, x in zip(dense(problem, data[row]), xs[p]))
                 assert ax[p, pos] == pytest.approx(ref, rel=1e-12, abs=1e-12)
             # each problem's images are the ones it gets alone
-            assert np.array_equal(ax[p], cons.a_of(cons.stack(xs[p]))[0])
-            assert np.array_equal(aty_p, cons.at_of(y[p:p + 1]))
+            assert np.array_equal(ax[p], cons.a_of(cons.stack(xs[p])[None])[0])
+            assert np.array_equal(aty_p, cons.at_of(y[p:p + 1])[0])
 
     @pytest.mark.parametrize("dim", [_TRI_LEAF + 1, 3 * _TRI_LEAF + 7])
     def test_triangular_inverse(self, dim):
@@ -576,10 +576,10 @@ class TestStackedSteps:
             if seed == 0 and p == 0:
                 dzs = [random_pd(rng, d) for d in self.DIMS]
             problems.append((y_chols, z_chols, dys, dzs))
-        # [Y; Z] of the batch: the Y blocks of every problem, then the Z blocks
-        chols = np.concatenate([cons.stack(pr[i]) + cons.pad for i in (0, 1) for pr in problems])
-        deltas = np.concatenate([cons.stack(pr[i]) for i in (2, 3) for pr in problems])
-        steps = _max_steps(deltas, np.linalg.inv(chols), 2)
+        # [Y; Z] of the batch: the Y stack of every problem, then the Z stacks
+        chols = np.stack([cons.stack(pr[i]) for i in (0, 1) for pr in problems]) + cons.pad
+        deltas = np.stack([cons.stack(pr[i]) for i in (2, 3) for pr in problems])
+        steps = _max_steps(deltas, np.linalg.inv(chols))
         assert steps.shape == (2, 2)
         for p, (y_chols, z_chols, dys, dzs) in enumerate(problems):
             expected = [_max_step(dys, y_chols), _max_step(dzs, z_chols)]
@@ -592,15 +592,13 @@ class TestStackedSteps:
         cons = padded(self.DIMS)
         rng = np.random.default_rng(9)
         blocks = [[random_pd(rng, d) for d in self.DIMS] for _ in range(2)]
-        chol = np.linalg.cholesky(np.concatenate([cons.stack(b) + cons.pad for b in blocks]))
+        chol = np.linalg.cholesky(np.stack([cons.stack(b) for b in blocks]) + cons.pad)
         inv = np.linalg.inv(chol)
         for p in range(2):
+            for mat in (chol, inv):
+                assert np.array_equal(mat[p] - cons.stack(cons.unstack(mat[p])), cons.pad)
             for k, d in enumerate(self.DIMS):
-                slot = p * len(self.DIMS) + k
-                for mat in (chol, inv):
-                    corner = cons.stack(cons.unstack(mat[p * len(self.DIMS):][:len(self.DIMS)]))
-                    assert np.array_equal(mat[slot] - corner[k], cons.pad[k])
-                assert np.allclose(chol[slot, :d, :d], np.linalg.cholesky(blocks[p][k]),
+                assert np.allclose(chol[p, k, :d, :d], np.linalg.cholesky(blocks[p][k]),
                                    rtol=1e-13)
 
 
@@ -661,23 +659,23 @@ class TestInterleavedBlocks:
         seen = {"dots": 0, "steps": 0}
         dots, max_steps = sdp._dots, sdp._max_steps
 
-        def padding(stack, count):
-            return stack.reshape((count,) + off.shape)[:, off]
+        def padding(stacks):
+            return stacks[:, off]
 
-        def checked_dots(xs, ws, count):
+        def checked_dots(xs, ws):
             # pobj, the gap, the dual residual and the affine gap: C0, Y, Z,
-            # their residuals and trial iterates, each problem's own slices
-            if xs.shape[1:] == off.shape[1:]:
-                assert not padding(xs, count).any()
-                assert not (padding(ws, count) if ws.shape == xs.shape else ws[off]).any()
+            # their residuals and trial iterates, each problem's own stack
+            if xs.shape[1:] == off.shape:
+                assert not padding(xs).any()
+                assert not (padding(ws) if ws.ndim == xs.ndim else ws[off]).any()
                 seen["dots"] += 1
-            return dots(xs, ws, count)
+            return dots(xs, ws)
 
-        def checked_steps(deltas, chol_invs, count):
+        def checked_steps(deltas, chol_invs):
             # [dY; dZ] of every problem, predictor and corrector
-            assert not padding(deltas, 2 * count).any()
+            assert not padding(deltas).any()
             seen["steps"] += 1
-            return max_steps(deltas, chol_invs, count)
+            return max_steps(deltas, chol_invs)
 
         monkeypatch.setattr(sdp, "_dots", checked_dots)
         monkeypatch.setattr(sdp, "_max_steps", checked_steps)
@@ -746,6 +744,20 @@ class TestFallbacks:
         assert ("best_iterate", False) in early.fallbacks
 
 
+class TestStoppingTest:
+    def test_optimal_needs_the_objective_gap(self):
+        opts = SolverOptions()
+        run = sdp._Run()
+        ys, y = np.zeros((1, 1, 1)), np.zeros(1)
+        # relative gap 3e-10, pres and dres 1e-9, all within the tolerance;
+        # the objectives 1e-7 apart, 3.3e-8 relative to their size, are not
+        assert run.goes_on(1, ys, y, 1.0, 1.0 - 1e-7, 1e-9, 1e-9, 1e-9, opts)
+        assert run.status == "max_iterations"
+        # the same residuals with the objectives 1e-8 apart are optimal
+        assert not run.goes_on(2, ys, y, 1.0, 1.0 - 1e-8, 1e-9, 1e-9, 1e-9, opts)
+        assert run.status == "optimal"
+
+
 def assert_same_solution(got, ref):
     """Bit for bit: objectives, gap, status, counts, fallbacks and both
     iterates."""
@@ -795,6 +807,30 @@ class TestBatchedSolve:
         for group in groups:
             for got, problem in zip(solve_many(group), group):
                 assert_same_solution(got, solve(problem))
+
+    def test_table_trace_pinned(self):
+        # (m, n) -> iterations of the sign -1 and +1 solves of `table
+        # --heavy`, batched as the table runs them; all end optimal on the
+        # main test, and only the three in ``shifted`` fire the Schur shift
+        # (no best iterate anywhere)
+        from ncagm.cli import HEAVY_ROWS
+        iterations = {
+            (1, 1): (8, 8), (1, 2): (8, 8), (2, 2): (11, 9), (1, 3): (8, 8), (2, 3): (10, 10),
+            (3, 3): (10, 12), (1, 4): (8, 8), (2, 4): (9, 13), (3, 4): (11, 15),
+            (4, 4): (14, 22), (2, 5): (9, 13), (3, 5): (10, 15), (4, 5): (15, 18),
+            (5, 5): (14, 15)}
+        shifted = {(4, 4, 1), (4, 5, 1), (5, 5, 1)}
+        trace = {}
+        for group in table_groups(HEAVY_ROWS):
+            for problem, sol in zip(group, solve_many(group)):
+                m, n, sign = (problem.meta[key] for key in ("m", "n", "sign"))
+                trace[m, n, sign] = (sol.status, sol.iterations,
+                                     tuple(name for name, _ in sol.fallbacks))
+        assert trace == {
+            (m, n, sign): ("optimal", its[sign > 0],
+                           ("schur_shift",) if (m, n, sign) in shifted else ())
+            for (m, n), its in iterations.items() for sign in (-1, 1)}
+        assert sum(its for _, its, _ in trace.values()) == 319
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_unreduced_pairs_match_lone_solves(self, n):
