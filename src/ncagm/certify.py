@@ -349,10 +349,6 @@ class InstanceReport:
     def feasible(self):
         return self.inputs_psd and self.sum_bounded
 
-    @property
-    def ok(self):
-        return self.feasible and not self.violations
-
 
 def distinct_product_bound(m, n):
     """The conjectured Loewner bound n!/(n-m)!: the number of distinct

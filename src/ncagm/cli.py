@@ -6,11 +6,11 @@ and one ``solve_many`` (``_table_group``).  The groups are independent,
 and on Linux the symmetry-reduced ones run in W = min(groups, usable CPUs)
 forked worker processes, the CPUs being ``os.sched_getaffinity(0)``.  The
 group indices go heaviest first, in (d, n) descending order, into one task
-pipe, and each idle worker reads the next one; a worker sends each group's
-pickled records back over its own pipe and ends with ``os._exit``.  The
-parent runs no group itself and prints the records in row order.  A group
-whose worker ends before sending it becomes ERROR rows naming the worker's
-wait status.  With W = 1, off Linux (fork after a numpy built on
+pipe, and each idle worker reads the next one.  On its own pipe a worker
+pickles a group's index when it takes the group, then the group's records
+when it is done, and it ends with ``os._exit``.  The parent runs no group
+itself and prints the records in row order.  A group whose worker ends
+before sending it becomes ERROR rows naming the worker's wait status.  With W = 1, off Linux (fork after a numpy built on
 Accelerate is unsafe on macOS) or under ``--symmetry off``, the same
 ``_table_group`` calls run in-process: the unreduced groups are
 BLAS-bound, and two of them at once slow each other down.
@@ -23,6 +23,7 @@ target, 2 usage error, 3 solver non-optimal, 4 invalid certificate,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,8 +33,7 @@ from itertools import groupby
 
 from . import certify as certify_mod
 from .compiler import assemble_sdp, retargeting, symmetry_reduce
-from .sdp import (SolverOptions, extract_farkas, farkas_from_dual, optimal_dual, solve,
-                  solve_many)
+from .sdp import SolverOptions, farkas_from_dual, optimal_dual, solve, solve_many
 from .sdpa import write_sdpa
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def _table_group(ms, n, args):
     return [_table_row(m, n, next(sols), next(sols), args) for m in ms]
 
 
-_WORD = 4  # bytes of a group index in the task and result pipes
+_WORD = 4  # bytes of a group index in the task pipe
 
 
 def _worker_ended(status):
@@ -110,36 +110,32 @@ def _worker_ended(status):
 
 def _serve(groups, args, tasks, out):
     """Worker loop: run the groups whose indices ``tasks`` yields, until
-    its end.  Each index goes to ``out`` when its group is taken, so that a
-    worker that dies names the group it held, and the group's pickled
-    records follow, after their size, when it is done."""
+    its end.  Each index is pickled to ``out`` when its group is taken, so
+    that a worker that dies names the group it held, and the group's
+    records follow when it is done."""
     with open(out, "wb") as fh:
         while task := os.read(tasks, _WORD):
-            fh.write(task)
+            index = int.from_bytes(task, "little")
+            pickle.dump(index, fh)
             fh.flush()
-            ms, n = groups[int.from_bytes(task, "little")]
-            body = pickle.dumps(_table_group(ms, n, args))
-            fh.write(len(body).to_bytes(8, "little") + body)
+            ms, n = groups[index]
+            pickle.dump(_table_group(ms, n, args), fh)
             fh.flush()
 
 
 def _receive(fd):
     """({index: records} of the groups a worker sent, the index of the
-    group it took and did not send, or None), read from ``fd`` to its end."""
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    data = b"".join(chunks)
-    sent, at = {}, 0
-    while at + _WORD <= len(data):
-        index = int.from_bytes(data[at:at + _WORD], "little")
-        body = at + _WORD + 8
-        end = body + int.from_bytes(data[at + _WORD:body], "little")
-        if end > len(data):
-            return sent, index
-        sent[index] = pickle.loads(data[body:end])
-        at = end
-    return sent, None
+    group it took and did not send, or None), read from ``fd`` to its end.
+    A stream cut at any byte ends in EOFError or UnpicklingError."""
+    sent, held = {}, None
+    with open(fd, "rb", closefd=False) as fh:
+        try:
+            while True:
+                held = pickle.load(fh)
+                sent[held] = pickle.load(fh)
+                held = None
+        except (EOFError, pickle.UnpicklingError):
+            return sent, held
 
 
 def _forked_groups(groups, args, workers):
@@ -301,9 +297,10 @@ def _farkas_certificate(problem, args):
     from the reduced solve and is lifted to the full rows."""
     options = SolverOptions(tolerance=args.tol)
     if args.symmetry == "off":
-        return extract_farkas(problem, args.lambda_target, options=options)
-    reduced, orbits = symmetry_reduce(problem)
-    dual = orbits.lift_dual(optimal_dual(reduced, options))
+        dual = optimal_dual(problem, options)
+    else:
+        reduced, orbits = symmetry_reduce(problem)
+        dual = orbits.lift_dual(optimal_dual(reduced, options))
     return farkas_from_dual(problem, args.lambda_target, dual)
 
 
@@ -444,8 +441,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on main's first call
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if "tol" in args and not 0 < args.tol < math.inf:  # also rejects nan

@@ -251,8 +251,8 @@ def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, words):
     permutation.  The entries are flat arrays of row r, folded coordinate
     ``coord`` (the lambda entry at len(tperm), which every generator
     fixes) and value v.  Keyed by (k, coordinate) and sorted, the two sides
-    must have equal keys and values within 1e-12, and right-hand sides must
-    match exactly; the error names the first word k that fails."""
+    must have exactly equal keys, values (all multiples of 1/2) and
+    right-hand sides; the error names the first word k that fails."""
     lam = len(tperm)
     fold = np.append(tperm, lam)
     for wperm, cperm in zip(wperms, cperms):
@@ -260,7 +260,7 @@ def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, words):
         mapped = r * (lam + 1) + np.minimum(image, fold[image])
         target = np.argsort(wperm)[r] * (lam + 1) + coord
         i, j = np.argsort(mapped), np.argsort(target)
-        bad = (mapped[i] != target[j]) | (np.abs(v[i] - v[j]) > 1e-12)
+        bad = (mapped[i] != target[j]) | (v[i] != v[j])
         # rows before the first failing one line up in both sorted arrays
         _check_generator(rhs, wperm, words, np.minimum(mapped[i], target[j])[bad] // (lam + 1))
 

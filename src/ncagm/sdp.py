@@ -195,12 +195,24 @@ class SdpProblem:
     def dense_matrix(self, matrix):
         """Data matrix number ``matrix`` (0: the objective, k + 1:
         constraint row k) as dense per-block arrays."""
-        blocks = [np.zeros((d, d)) for d in self.block_dims]
         lo, hi = np.searchsorted(self.entries.matrix, [matrix, matrix + 1])
-        for _, blk, i, j, v in self.entries[lo:hi].tolist():
-            blocks[blk][i, j] = v
-            blocks[blk][j, i] = v
-        return blocks
+        return self._dense(slice(lo, hi), 1.0)
+
+    def _dense(self, at, coef):
+        """Dense per-block arrays of the sum of coef * value at (i, j) and
+        its mirror over the entries ``entries[at]``, added by one bincount
+        in record order from +0.0, so that a zero coef changes no bit.
+        ``certify.farkas_check`` scatters its slack on its own, so that it
+        shares no code with the defect it re-checks."""
+        e = self.entries[at]
+        weight = coef * e.value
+        dims = np.array(self.block_dims)
+        start = np.concatenate([[0], np.cumsum(dims * dims)])
+        base, dim = start[e.block], dims[e.block]
+        off = e.i != e.j
+        cells = np.concatenate([base + e.i * dim + e.j, (base + e.j * dim + e.i)[off]])
+        flat = np.bincount(cells, np.concatenate([weight, weight[off]]), minlength=start[-1])
+        return [flat[lo:hi].reshape(d, d) for lo, hi, d in zip(start, start[1:], dims)]
 
 
 @dataclass
@@ -858,18 +870,8 @@ class FarkasCertificate:
 
 def psd_defect_of(problem, y0, y):
     """Largest eigenvalue of y0*C0 + sum y_i*C_i over all blocks."""
-    blocks = [y0 * blk for blk in problem.dense_matrix(0)]
-    e = problem.entries
-    # y_k times each entry of row k, added in row order; the objective and
-    # rows with y_k = 0 add nothing
-    coef = np.concatenate([[0.0], y])[e.matrix]
-    on = coef != 0.0
-    for k, x in enumerate(blocks):
-        at = on & (e.block == k)
-        i, j, add = e.i[at], e.j[at], coef[at] * e.value[at]
-        off = i != j
-        np.add.at(x, (np.concatenate([i, j[off]]), np.concatenate([j, i[off]])),
-                  np.concatenate([add, add[off]]))
+    coef = np.concatenate([[y0], y])[problem.entries.matrix]
+    blocks = problem._dense(slice(None), coef)
     return max(float(np.linalg.eigvalsh(blk).max()) for blk in blocks)
 
 

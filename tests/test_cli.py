@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, and artifacts."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -264,17 +265,18 @@ class TestWorkers:
         assert_no_child_left()
 
     def test_truncated_message_names_its_group(self):
-        body = pickle.dumps([{"m": 1, "n": 1}])
-
-        def message(index):
-            return index.to_bytes(4, "little") + len(body).to_bytes(8, "little") + body
-
-        for cut in (4, 8, 12, len(message(5)) - 1):
+        # the second group's stream cut at every byte: the group is held
+        # once its index pickle is complete
+        records = [{"m": 1, "n": 1, "lambda1": 1.5, "verdict": "ok"}]
+        index = pickle.dumps(5)
+        second = index + pickle.dumps(records)
+        for cut in range(len(second)):
             read, write = os.pipe()
-            os.write(write, message(3) + message(5)[:cut])
+            os.write(write, pickle.dumps(3) + pickle.dumps(records) + second[:cut])
             os.close(write)
             try:
-                assert ncagm.cli._receive(read) == ({3: [{"m": 1, "n": 1}]}, 5)
+                held = 5 if cut >= len(index) else None
+                assert ncagm.cli._receive(read) == ({3: records}, held)
             finally:
                 os.close(read)
 
@@ -622,6 +624,21 @@ class TestSingleRepresentation:
             problem, _ = symmetry_reduce(problem)
         render_sdpa(problem)
         assert not read
+
+
+class TestParser:
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recorded(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+        for _ in range(2):
+            assert run(["certify", "sos-m2", "--n", "2"], capsys)[0] == EXIT_OK
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 class TestReadmeCommands:

@@ -319,8 +319,12 @@ class TestEntryRecord:
         assert list(map(signed, problem.constraints)) == list(map(signed, constraints))
         assert signed(problem.objective) == signed(objective)
 
-    def test_readers_match_dict_references(self):
-        problem = assemble_sdp(3, 3, 1)
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 5), (5, 5)])
+    def test_readers_match_dict_references(self, m, n, reduced):
+        problem = assemble_sdp(m, n, 1)
+        if reduced:
+            problem = symmetry_reduce(problem)[0]
         # row dedup keyed by the dicts themselves
         rows = problem.constraints
         seen, keep = set(), []
@@ -336,6 +340,10 @@ class TestEntryRecord:
         for k, entries in enumerate(rows):
             assert source[k] in keep and rows[source[k]] == entries
             assert problem.rhs[source[k]] == problem.rhs[k]
+        # each data matrix, zero signs included
+        for k, entries in enumerate([problem.objective, *rows]):
+            for got, ref in zip(problem.dense_matrix(k), dense(problem, entries)):
+                assert got.tobytes() == ref.tobytes()
         # y0*C0 + sum y_k C_k accumulated entry by entry in row order, with
         # some y_k = 0; the record's sum adds in the same order
         y = np.random.default_rng(5).standard_normal(problem.num_constraints)

@@ -139,7 +139,8 @@ class TestReducedProblem:
         with pytest.raises(ValueError):
             symmetry_reduce(reduced)
 
-    @pytest.mark.parametrize("tamper", ["rhs", "value", "extra_entry", "moved_entry"])
+    @pytest.mark.parametrize("tamper",
+                             ["rhs", "value", "value_ulp", "extra_entry", "moved_entry"])
     def test_non_invariant_input_detected(self, tamper):
         # breaking one letter-word row destroys the S_n invariance
         prob = assemble_sdp(2, 3, 1)
@@ -152,6 +153,9 @@ class TestReducedProblem:
         elif tamper == "value":
             key = next(iter(row))
             row[key] += 1e-6
+        elif tamper == "value_ulp":
+            key = next(iter(row))
+            row[key] = np.nextafter(row[key], np.inf)
         elif tamper == "extra_entry":
             q = prob.block_dims[1]
             key = next((1, a, b) for a in range(q) for b in range(a, q)

@@ -1,0 +1,81 @@
+"""Print one sha256 over a fixed set of solves, certificates and data
+matrices, so that two source trees can be shown to compute the same bits.
+
+Run it from each tree and compare the two lines it prints:
+
+    python tools/solve_digest.py
+
+It imports ncagm from the ``src`` directory of the tree it is in.  The cases,
+with the default solver options:
+
+- a lone solve of the symmetry-reduced problem of every m <= n <= 5, both
+  signs, and of the unreduced problem of every m <= n <= 4, both signs;
+- the ten (n, d) groups of ``ncagm table --heavy``, each built once,
+  retargeted and solved with one ``solve_many``;
+- the margin and PSD defect of the lifted (5,5,+1) dual at lambda = 120;
+- ``extract_farkas`` on the unreduced (2,2,+1) problem at lambda = 0.4;
+- the bytes of ``dense_matrix(k)`` for every k of the full and the
+  reduced (5,5,+1) problem.
+
+Each solve adds its status, iteration count, the repr of both objectives
+and of the gap, its fallbacks, and the bytes of its dual and primal blocks.
+The digest depends on the BLAS thread count only where the solver's results
+do; compare trees at the same ``OPENBLAS_NUM_THREADS``.
+"""
+
+import hashlib
+import os
+import sys
+from itertools import groupby
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from ncagm import (assemble_sdp, extract_farkas, retargeting, solve,  # noqa: E402
+                   solve_many, symmetry_reduce)
+from ncagm.cli import DEFAULT_ROWS, HEAVY_ROWS  # noqa: E402
+from ncagm.sdp import farkas_from_dual, optimal_dual  # noqa: E402
+
+
+def add_solution(digest, sol):
+    digest.update(repr((sol.status, sol.iterations, sol.objective_primal, sol.objective_dual,
+                        sol.gap, sol.fallbacks)).encode())
+    digest.update(sol.dual.tobytes())
+    for block in sol.primal_blocks:
+        digest.update(block.tobytes())
+
+
+def add_certificate(digest, cert):
+    digest.update(repr((cert.lambda_target, cert.y0, cert.margin, cert.psd_defect)).encode())
+    digest.update(cert.y.tobytes())
+
+
+def main():
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            for sign in (1, -1):
+                full = assemble_sdp(m, n, sign)
+                add_solution(digest, solve(symmetry_reduce(full)[0]))
+                if n <= 4:
+                    add_solution(digest, solve(full))
+    rows = DEFAULT_ROWS + HEAVY_ROWS
+    for (n, _), group in groupby(rows, key=lambda row: (row[1], row[0] // 2)):
+        ms = [m for m, _ in group]
+        to_target = retargeting(symmetry_reduce(assemble_sdp(ms[0], n, -1))[0])
+        for sol in solve_many([to_target(m, sign) for m in ms for sign in (-1, +1)]):
+            add_solution(digest, sol)
+    full = assemble_sdp(5, 5, 1)
+    reduced, orbits = symmetry_reduce(full)
+    add_certificate(digest, farkas_from_dual(full, 120.0,
+                                             orbits.lift_dual(optimal_dual(reduced))))
+    add_certificate(digest, extract_farkas(assemble_sdp(2, 2, 1), 0.4))
+    for problem in (full, reduced):
+        for k in range(problem.num_constraints + 1):
+            for block in problem.dense_matrix(k):
+                digest.update(block.tobytes())
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
