@@ -19,25 +19,24 @@ from .sdp import (
     solve_many,
 )
 from .ncpoly import (
+    MonomialBasis,
     NCPolynomial,
     Permutation,
     apply_permutation,
     distinct_product_sum,
+    monomial_basis,
     poly_mul,
     poly_transpose,
 )
 from .compiler import (
     InvarianceError,
-    MonomialBasis,
     SymmetryOrbits,
     assemble_sdp,
     localizing_entry,
-    monomial_basis,
-    retarget,
     retargeting,
     symmetry_reduce,
 )
-from .sdpa import SdpaParseError, export_sdpa, import_sdpa, read_sdpa, write_sdpa
+from .sdpa import SdpaParseError, import_sdpa
 from .certify import (
     CertificateError,
     InstanceReport,
@@ -63,7 +62,6 @@ __all__ = [
     "assemble_sdp",
     "localizing_entry",
     "monomial_basis",
-    "retarget",
     "retargeting",
     "symmetry_reduce",
     "FarkasCertificate",
@@ -74,10 +72,7 @@ __all__ = [
     "solve",
     "solve_many",
     "SdpaParseError",
-    "export_sdpa",
     "import_sdpa",
-    "read_sdpa",
-    "write_sdpa",
     "CertificateError",
     "InstanceReport",
     "RationalMatrix",

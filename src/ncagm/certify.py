@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .compiler import monomial_basis
-from .ncpoly import distinct_product_sum
+from .ncpoly import distinct_product_sum, monomial_basis
 
 
 class CertificateError(ValueError):

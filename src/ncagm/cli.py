@@ -34,7 +34,7 @@ from itertools import groupby
 from . import certify as certify_mod
 from .compiler import assemble_sdp, retargeting, symmetry_reduce
 from .sdp import SolverOptions, farkas_from_dual, optimal_dual, solve, solve_many
-from .sdpa import write_sdpa
+from .sdpa import render_sdpa
 
 EXIT_OK = 0
 EXIT_NO_CERTIFICATE = 1
@@ -71,17 +71,20 @@ def _error_row(m, n, error):
 
 def _table_row(m, n, sol1, sol2, args):
     """The record of row (m, n) from the solutions of its two lambda
-    problems."""
-    # a verdict slack at solver accuracy would misflag rows where lambda_1
-    # sits exactly on the bound, so widen it past the 1e-8 duality gap
-    verdict_tol = max(args.tol, 1e-4)
+    problems.  A row is a VIOLATION when a dual objective, a lower bound
+    on its lambda, exceeds the bound by more than the slack, relative to
+    1 + |pobj| + |dobj| as in the solver's stopping test; the slack is
+    widened past the solver's accuracy, so that a lambda_1 sitting exactly
+    on the bound is not misflagged."""
     if sol1.status != "optimal" or sol2.status != "optimal":
         return _error_row(m, n, f"solver status {sol1.status}/{sol2.status}")
-    lam1, lam2 = sol1.objective_primal, sol2.objective_primal
     bound = certify_mod.distinct_product_bound(m, n)
-    verdict = "VIOLATION" if max(lam1, lam2) > bound + verdict_tol else "ok"
-    return {"m": m, "n": n, "bound": bound, "lambda1": lam1, "lambda2": lam2,
-            "verdict": verdict}
+    slack = max(args.tol, 1e-4)
+    violated = any(s.objective_dual > bound + slack * (1 + abs(s.objective_primal)
+                                                       + abs(s.objective_dual))
+                   for s in (sol1, sol2))
+    return {"m": m, "n": n, "bound": bound, "lambda1": sol1.objective_primal,
+            "lambda2": sol2.objective_primal, "verdict": "VIOLATION" if violated else "ok"}
 
 
 def _table_group(ms, n, args):
@@ -280,7 +283,8 @@ def cmd_build_solve(args):
     problem = _build_problem(args.m, args.n, _sign(args), args)
     base = args.out or f"ncagm_m{args.m}_n{args.n}_{args.sign}"
     dat_path = base + ".dat-s"
-    write_sdpa(problem, dat_path)
+    with open(dat_path, "w") as fh:
+        fh.write(render_sdpa(problem))
     if args.export_only:
         print(f"wrote {dat_path}")
         return EXIT_OK

@@ -14,53 +14,16 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, permutations, product, zip_longest
 
 import numpy as np
 
-from .ncpoly import NCPolynomial, distinct_product_sum
+from .ncpoly import NCPolynomial, distinct_product_sum, word_at, word_count
 from .sdp import SdpProblem
 
 
 class InvarianceError(ValueError):
     """The problem data is not invariant under the symmetric-group action."""
-
-
-def words_up_to(n, d):
-    """All words of degree <= d over 1..n in graded-lex order (unit first)."""
-    out = []
-    for k in range(d + 1):
-        out.extend(product(range(1, n + 1), repeat=k))
-    return out
-
-
-@dataclass(frozen=True)
-class MonomialBasis:
-    """The ordered tuple of all words of degree <= d over n letters."""
-
-    n: int
-    d: int
-    words: tuple
-
-    @cached_property
-    def _index(self):
-        return {w: k for k, w in enumerate(self.words)}
-
-    @property
-    def size(self):
-        return len(self.words)
-
-    def index(self, word):
-        return self._index[tuple(word)]
-
-
-def monomial_basis(n, d):
-    if n < 1:
-        raise ValueError("alphabet size must be at least 1")
-    if d < 0:
-        raise ValueError("degree bound must be nonnegative")
-    return MonomialBasis(n, d, tuple(words_up_to(n, d)))
 
 
 def localizing_entry(basis, i, a, b):
@@ -93,14 +56,14 @@ def _check_target(m, n, sign):
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
 
 
-def _target_rhs(m, n, sign, words):
-    """Right-hand side of the (m, n, sign) problem over ``words``, the
-    words_up_to(n, k) for some k >= m: minus sign times each word's
-    coefficient in the distinct-product sum.  A word's index there is
-    the number whose bijective base-n digits (1..n, first most
+def _target_rhs(m, n, sign, count):
+    """Right-hand side of the (m, n, sign) problem over the ``count`` words
+    of ncpoly.words_up_to(n, k) for some k >= m: minus sign times each
+    word's coefficient in the distinct-product sum.  A word's index there
+    is the number whose bijective base-n digits (1..n, first most
     significant) are its letters, so that the word u v has index
     index(u) * n**len(v) + index(v)."""
-    rhs = [-float(sign) * 0.0] * len(words)
+    rhs = [-float(sign) * 0.0] * count
     for word, coeff in distinct_product_sum(m, n).terms.items():
         index = 0
         for letter in word:
@@ -122,8 +85,8 @@ def assemble_sdp(m, n, sign):
     """
     _check_target(m, n, sign)
     d = m // 2
-    q = monomial_basis(n, d).size
-    words = words_up_to(n, 2 * d + 1)
+    q = word_count(n, d)
+    count = word_count(n, 2 * d + 1)
     rev = _word_perms(n, d, [])[-1]
     power = np.repeat(n ** np.arange(d + 1), n ** np.arange(d + 1))  # n**|beta_b|
     a, b = np.divmod(np.arange(q * q), q)
@@ -135,7 +98,7 @@ def assemble_sdp(m, n, sign):
     blk = np.concatenate([[0], np.repeat(letter, q * q), np.full((n + 1) * q * q, n + 1)])
     i, j = (np.append(0, np.tile(x, 2 * n + 1)) for x in (np.minimum(a, b), np.maximum(a, b)))
     val = np.concatenate([[1.0], np.tile(-half, n), np.tile(half, n), -n * half])
-    shape = (len(words), n + 2, q, q)
+    shape = (count, n + 2, q, q)
     # (a, b) and (b, a) fall on one key when the word is a palindrome
     key, slot = np.unique(np.ravel_multi_index((row, blk, i, j), shape), return_inverse=True)
     val = np.bincount(slot, weights=val)
@@ -146,7 +109,7 @@ def assemble_sdp(m, n, sign):
     # the objective, matrix 0, selects lambda: 1 at (0, 0) of block 0
     return SdpProblem.from_entries(block_dims, *(np.append(0, x) for x in (row + 1, blk, i, j)),
                                    np.append(1.0, val[nonzero]),
-                                   _target_rhs(m, n, sign, words), meta)
+                                   _target_rhs(m, n, sign, count), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +161,7 @@ def _generator_images(n):
 
 
 def _word_perms(n, degree, sigmas):
-    """Index permutations of words_up_to(n, degree): one per letter
+    """Index permutations of ncpoly.words_up_to(n, degree): one per letter
     permutation in ``sigmas`` (0-based image arrays), then reversal.  A
     word of degree k sits at offset_k plus its base-n digits (letter - 1),
     first letter most significant."""
@@ -245,7 +208,7 @@ def _orbit_labels(perms, size):
     return labels, reps
 
 
-def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, words):
+def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, n):
     """Verify that row k of the constraint data maps onto row wperm[k]
     under each generator, given as a word permutation and a Gram-coordinate
     permutation.  The entries are flat arrays of row r, folded coordinate
@@ -262,10 +225,10 @@ def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, words):
         i, j = np.argsort(mapped), np.argsort(target)
         bad = (mapped[i] != target[j]) | (v[i] != v[j])
         # rows before the first failing one line up in both sorted arrays
-        _check_generator(rhs, wperm, words, np.minimum(mapped[i], target[j])[bad] // (lam + 1))
+        _check_generator(rhs, wperm, n, np.minimum(mapped[i], target[j])[bad] // (lam + 1))
 
 
-def _check_generator(rhs, wperm, words, data_faults=()):
+def _check_generator(rhs, wperm, n, data_faults=()):
     """Raise InvarianceError at the first word k that fails under one
     generator: k is in ``data_faults`` (its constraint row does not map
     onto row wperm[k]) or its right-hand side differs from wperm[k]'s."""
@@ -275,7 +238,7 @@ def _check_generator(rhs, wperm, words, data_faults=()):
     if len(bad):
         k = int(bad.min())
         what = "right-hand side" if rhs[k] != rhs[wperm[k]] else "constraint data"
-        raise InvarianceError(f"{what} not invariant at word {words[k]}")
+        raise InvarianceError(f"{what} not invariant at word {word_at(n, k)}")
 
 
 def _partitions(k, most):
@@ -328,7 +291,7 @@ def _young_bases(n, d, letters):
     image, and U_lambda keeps the first independent ones.  An invariant Y
     is PSD iff every U^T Y U is.
     """
-    q = len(words_up_to(n, d))
+    q = word_count(n, d)
     k = len(letters)
     bases = []
     for shape in (s for s in _partitions(k, k) if k - sum(s[:1]) <= d):
@@ -373,8 +336,7 @@ def symmetry_reduce(problem):
         if key not in meta:
             raise ValueError("symmetry_reduce needs a problem from assemble_sdp")
     n, d = meta["n"], meta["d"]
-    q = monomial_basis(n, d).size
-    words = words_up_to(n, 2 * d + 1)
+    q = word_count(n, d)
     sigmas = _generator_images(n)
     # generators then reversal, which is merged in because the folded rows
     # of a word and its reversal are the same linear functional on
@@ -387,10 +349,10 @@ def symmetry_reduce(problem):
     e = problem.entries[problem.entries.matrix > 0]
     row, blk, a, b, val = e.matrix - 1, e.block, e.i, e.j, e.value
     coord = np.where(blk == 0, size, ((blk - 1) * q + a) * q + b)
-    _check_invariance(problem.rhs, row, coord, val, wperms[:-1], cperms[:-1], cperms[-1], words)
+    _check_invariance(problem.rhs, row, coord, val, wperms[:-1], cperms[:-1], cperms[-1], n)
 
     coord_orbit, reps = _orbit_labels(cperms, size)
-    word_orbit, word_reps = _orbit_labels(wperms, len(words))
+    word_orbit, word_reps = _orbit_labels(wperms, word_count(n, 2 * d + 1))
 
     # weight[r, o]: total coefficient of word-orbit row r on coordinate
     # orbit o, both mirror entries counted, so that the row reads
@@ -454,24 +416,33 @@ def symmetry_reduce(problem):
 
 
 def retargeting(problem):
-    """A function (m, sign) -> retarget(problem, m, sign).  The words, their
-    permutations under S_n and the word-orbit representatives depend only
-    on n and d, so they are computed once here for every target."""
+    """A function (m, sign) -> the (m, n, sign) problem with the same n and
+    degree bound d as ``problem``, which comes from assemble_sdp or
+    symmetry_reduce.
+
+    The target polynomial enters only the right-hand side, so the
+    constraint rows, objective and block dimensions are shared with
+    ``problem``.  The right-hand side is computed over every word as in
+    assemble_sdp and checked for S_n invariance; a reduced problem keeps
+    the entry of each word-orbit representative, as symmetry_reduce does.
+    The word permutations under S_n and the word-orbit representatives
+    depend only on n and d, so they are computed once here for every
+    target."""
     meta = problem.meta
     if "d" not in meta:
         raise ValueError("retarget needs a problem from assemble_sdp or symmetry_reduce")
     n, d = meta["n"], meta["d"]
-    words = words_up_to(n, 2 * d + 1)
+    count = word_count(n, 2 * d + 1)
     wperms = _word_perms(n, 2 * d + 1, _generator_images(n))
-    word_reps = _orbit_labels(wperms, len(words))[1] if meta.get("reduced") else None
+    word_reps = _orbit_labels(wperms, count)[1] if meta.get("reduced") else None
 
     def to_target(m, sign):
         _check_target(m, n, sign)
         if m // 2 != d:
             raise ValueError(f"m={m} needs degree bound {m // 2}, the problem has d={d}")
-        rhs = _target_rhs(m, n, sign, words)
+        rhs = _target_rhs(m, n, sign, count)
         for wperm in wperms[:-1]:
-            _check_generator(rhs, wperm, words)
+            _check_generator(rhs, wperm, n)
         if word_reps is not None:
             rhs = [rhs[k] for k in word_reps]
         # the constraint data was checked when ``problem`` was built, and
@@ -481,17 +452,3 @@ def retargeting(problem):
         return out
 
     return to_target
-
-
-def retarget(problem, m, sign):
-    """The (m, n, sign) problem with the same n and degree bound d as
-    ``problem``, which comes from assemble_sdp or symmetry_reduce.
-
-    The target polynomial enters only the right-hand side, so the
-    constraint rows, objective and block dimensions are shared with
-    ``problem``.  The right-hand side is computed over every word as in
-    assemble_sdp and checked for S_n invariance; a reduced problem keeps
-    the entry of each word-orbit representative, as symmetry_reduce does.
-    To retarget one problem to several targets, call ``retargeting`` once.
-    """
-    return retargeting(problem)(m, sign)

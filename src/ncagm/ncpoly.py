@@ -9,16 +9,66 @@ canonicalizes its result (zero coefficients are never stored).
 
 from __future__ import annotations
 
-from itertools import permutations as _permutations
-
-import numpy as np
-
-Word = tuple
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import permutations as _permutations, product
 
 
 def word_key(word):
     """Graded-lexicographic sort key: degree first, then lexicographic."""
     return (len(word), word)
+
+
+def words_up_to(n, d):
+    """All words of degree <= d over 1..n in graded-lex order (unit first).
+    A word's index in the list is the number whose bijective base-n digits
+    (1..n, first most significant) are its letters."""
+    out = []
+    for k in range(d + 1):
+        out.extend(product(range(1, n + 1), repeat=k))
+    return out
+
+
+def word_count(n, d):
+    """len(words_up_to(n, d)), without building the words."""
+    return sum(n**k for k in range(d + 1))
+
+
+def word_at(n, index):
+    """words_up_to(n, d)[index], for any d that includes it."""
+    word = []
+    while index:
+        index, digit = divmod(index - 1, n)
+        word.append(digit + 1)
+    return tuple(reversed(word))
+
+
+@dataclass(frozen=True)
+class MonomialBasis:
+    """The ordered tuple of all words of degree <= d over n letters."""
+
+    n: int
+    d: int
+    words: tuple
+
+    @cached_property
+    def _index(self):
+        return {w: k for k, w in enumerate(self.words)}
+
+    @property
+    def size(self):
+        return len(self.words)
+
+    def index(self, word):
+        return self._index[tuple(word)]
+
+
+def monomial_basis(n, d):
+    if n < 1:
+        raise ValueError("alphabet size must be at least 1")
+    if d < 0:
+        raise ValueError("degree bound must be nonnegative")
+    return MonomialBasis(n, d, tuple(words_up_to(n, d)))
 
 
 def _check_word(word, n):
@@ -179,6 +229,8 @@ class NCPolynomial:
 
     def evaluate(self, matrices):
         """Evaluate on a tuple of n square matrices (unit word -> identity)."""
+        import numpy as np  # the one numeric method: the word algebra needs no numpy
+
         if len(matrices) != self.n:
             raise ValueError(f"need {self.n} matrices, got {len(matrices)}")
         mats = [np.asarray(a, dtype=float) for a in matrices]

@@ -4,7 +4,7 @@ Layout: optional comment lines (leading '"' or '*'), number of constraints,
 number of blocks, block dimension list, right-hand-side line, then one line
 "matno blkno i j value" per nonzero with 1-based indices and i <= j; matno 0
 is the objective.  Problem metadata (m, n, sign, d, ...) is carried in a
-"*META" comment so that export/import round-trips field by field.
+"*META" comment so that import_sdpa(render_sdpa(p)) keeps it field by field.
 """
 
 from __future__ import annotations
@@ -42,20 +42,6 @@ def render_sdpa(problem):
     for matno, blk, i, j, v in problem.entries.tolist():
         out.write(f"{matno} {blk + 1} {i + 1} {j + 1} {_fmt(v)}\n")
     return out.getvalue()
-
-
-def export_sdpa(problem, stream):
-    """Write a problem to a text or binary stream."""
-    text = render_sdpa(problem)
-    try:
-        stream.write(text)
-    except TypeError:
-        stream.write(text.encode("ascii"))
-
-
-def write_sdpa(problem, path):
-    with open(path, "w") as fh:
-        fh.write(render_sdpa(problem))
 
 
 def _parse_meta(line):
@@ -169,8 +155,3 @@ def import_sdpa(source):
         target[key] = value
 
     return SdpProblem(block_dims, constraints, rhs, objective, meta)
-
-
-def read_sdpa(path):
-    with open(path) as fh:
-        return import_sdpa(fh)

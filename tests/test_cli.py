@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import ncagm.cli
-from ncagm import SdpProblem, assemble_sdp, symmetry_reduce
+from ncagm import SdpProblem, assemble_sdp, import_sdpa, symmetry_reduce
 from ncagm.cli import (
     EXIT_INVALID_CERTIFICATE,
     EXIT_NO_CERTIFICATE,
@@ -137,6 +137,18 @@ class TestTable:
         code, stdout, _ = run(["table", "--heavy", "--format", "json"], capsys)
         assert code == EXIT_OK
         assert hashlib.sha256(stdout.encode()).hexdigest() == TABLE_HEAVY_JSON_SHA256
+
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-4"])
+    def test_loose_tol_flags_only_the_refuted_row(self, tol, capsys):
+        # at a loose tolerance lambda_1 of a tight row ends above its bound
+        # by more than 1e-4 (24.0148 at (3,4) and --tol 1e-3), while the
+        # dual objective, a lower bound on lambda_1, stays below it
+        code, stdout, _ = run(["table", "--heavy", "--tol", tol, "--format", "json"], capsys)
+        assert code == EXIT_OK
+        verdicts = {(r["m"], r["n"]): r["verdict"] for r in json.loads(stdout)}
+        assert len(verdicts) == 14
+        assert {key for key, verdict in verdicts.items() if verdict != "ok"} == {(5, 5)}
+        assert verdicts[(5, 5)] == "VIOLATION"
 
     @pytest.mark.parametrize("output_format", ["text", "csv"])
     def test_workers_print_the_in_process_table(self, output_format, capsys, monkeypatch):
@@ -342,9 +354,8 @@ class TestSolve:
     def test_exported_file_reimports(self, capsys, tmp_path):
         base = str(tmp_path / "x")
         run(["solve", "--m", "2", "--n", "2", "--export-only", "--out", base], capsys)
-        from ncagm import read_sdpa
-
-        prob = read_sdpa(base + ".dat-s")
+        with open(base + ".dat-s") as fh:
+            prob = import_sdpa(fh)
         assert prob.meta["m"] == 2
         assert prob.meta["reduced"] is True
 
@@ -355,9 +366,8 @@ class TestSolve:
             capsys,
         )
         assert code == EXIT_OK
-        from ncagm import read_sdpa
-
-        prob = read_sdpa(base + ".dat-s")
+        with open(base + ".dat-s") as fh:
+            prob = import_sdpa(fh)
         assert prob.block_dims == (1, 3, 3, 3)
 
 

@@ -16,11 +16,10 @@ from ncagm import (
     localizing_entry,
     monomial_basis,
     poly_transpose,
-    retarget,
     retargeting,
     symmetry_reduce,
 )
-from ncagm.compiler import words_up_to
+from ncagm.ncpoly import words_up_to
 from ncagm.sdpa import render_sdpa
 
 
@@ -245,10 +244,10 @@ class TestRetarget:
         for m in ms:
             for sign in (1, -1):
                 direct = assemble_sdp(m, n, sign)
-                got = retarget(full, m, sign)
+                got = retargeting(full)(m, sign)
                 assert render_sdpa(got) == render_sdpa(direct)
                 assert got.entries is full.entries
-                got = retarget(reduced, m, sign)
+                got = retargeting(reduced)(m, sign)
                 assert render_sdpa(got) == render_sdpa(symmetry_reduce(direct)[0])
                 assert got.entries is reduced.entries
                 assert got.block_dims == reduced.block_dims
@@ -258,13 +257,13 @@ class TestRetarget:
         # problem, not once per target
         reduced, _ = symmetry_reduce(assemble_sdp(4, 5, -1))
         targets = [(4, -1), (4, 1), (5, -1), (5, 1)]
-        expected = [render_sdpa(retarget(reduced, m, sign)) for m, sign in targets]
+        expected = [render_sdpa(retargeting(reduced)(m, sign)) for m, sign in targets]
         to_target = retargeting(reduced)
 
         def fail(*args):
             raise AssertionError("(n, d) work repeated for a target")
 
-        for name in ("words_up_to", "_word_perms", "_orbit_labels"):
+        for name in ("word_count", "_word_perms", "_orbit_labels"):
             monkeypatch.setattr(f"ncagm.compiler.{name}", fail)
         assert [render_sdpa(to_target(m, sign)) for m, sign in targets] == expected
 
@@ -274,12 +273,12 @@ class TestRetarget:
         problem = assemble_sdp(2, 2, 1)
         for prob in (problem, symmetry_reduce(problem)[0]):
             with pytest.raises(ValueError):
-                retarget(prob, m, sign)
+                retargeting(prob)(m, sign)
 
     def test_plain_problem_rejected(self):
         toy = SdpProblem((1,), [{(0, 0, 0): 1.0}], [3.0], {(0, 0, 0): 1.0})
         with pytest.raises(ValueError, match="assemble_sdp or symmetry_reduce"):
-            retarget(toy, 1, 1)
+            retargeting(toy)(1, 1)
 
     def test_asymmetric_target_detected(self, monkeypatch):
         full = assemble_sdp(2, 3, 1)
@@ -290,4 +289,4 @@ class TestRetarget:
         for prob in (full, reduced):
             with pytest.raises(InvarianceError,
                                match=r"^right-hand side not invariant at word \(1, 2\)$"):
-                retarget(prob, 3, -1)
+                retargeting(prob)(3, -1)

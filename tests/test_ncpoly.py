@@ -1,13 +1,17 @@
 """Free-algebra arithmetic: ring laws, transpose, permutation action,
-distinct-index product sums, and the scalar (1x1) bound by sampling."""
+distinct-index product sums, the scalar (1x1) bound by sampling, and the
+layering that keeps the exact checker apart from the compiler."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncagm
 from ncagm import (
     NCPolynomial,
     Permutation,
@@ -16,6 +20,7 @@ from ncagm import (
     poly_mul,
     poly_transpose,
 )
+from ncagm.ncpoly import word_at, word_count, word_key, words_up_to
 
 N_CASES = 1000
 
@@ -261,3 +266,47 @@ class TestEvaluation:
         p = NCPolynomial(2, {(1, 2): 2, (2,): -1, (): 0.5})
         expected = 2 * a @ b - b + 0.5 * np.eye(3)
         assert np.allclose(p.evaluate([a, b]), expected)
+
+
+class TestWords:
+    def test_count_and_index_match_the_list(self):
+        for n in range(1, 5):
+            for d in range(4):
+                words = words_up_to(n, d)
+                assert words == sorted(words, key=word_key)
+                assert word_count(n, d) == len(words)
+                assert [word_at(n, k) for k in range(len(words))] == words
+
+
+def imported_modules(name):
+    """(module, at module level) for each import in ncagm's module ``name``,
+    relative imports resolved against the package."""
+    tree = ast.parse((Path(ncagm.__file__).parent / f"{name}.py").read_text())
+    top = {id(node) for node in tree.body}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [f"ncagm.{node.module}"]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"ncagm.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.extend((module, id(node) in top) for module in modules)
+    return found
+
+
+class TestLayering:
+    def test_certify_imports_only_ncpoly(self):
+        # the exact checker shares no code with the compiler or the solver
+        ours = {m for m, _ in imported_modules("certify") if m.split(".")[0] == "ncagm"}
+        assert ours <= {"ncagm.ncpoly"}
+
+    def test_ncpoly_stands_alone(self):
+        found = imported_modules("ncpoly")
+        assert not [m for m, _ in found if m.split(".")[0] == "ncagm"]
+        # numpy only inside NCPolynomial.evaluate
+        assert [top for m, top in found if m.split(".")[0] == "numpy"] == [False]

@@ -19,14 +19,14 @@ from ncagm import (
     extract_farkas,
     localizing_entry,
     monomial_basis,
-    retarget,
+    retargeting,
     solve,
     solve_many,
     symmetry_reduce,
 )
 from ncagm import sdp
 from ncagm.certify import farkas_check
-from ncagm.compiler import retargeting, words_up_to
+from ncagm.ncpoly import words_up_to
 from ncagm.sdp import (
     _TRI_LEAF,
     SdpError,
@@ -373,7 +373,7 @@ class TestEntryRecord:
         full = assemble_sdp(3, 4, 1)
         reduced, _ = symmetry_reduce(full)
         for problem in (full, reduced):
-            assert retarget(problem, 2, -1).entries is problem.entries
+            assert retargeting(problem)(2, -1).entries is problem.entries
 
     @pytest.mark.parametrize("constraints,objective,message", [
         ([{(0, 0, 0): 1.0}, {(2, 0, 0): 1.0}], {}, r"^block index 2 out of range$"),

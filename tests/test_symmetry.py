@@ -24,8 +24,8 @@ from ncagm.compiler import (
     _orbit_labels,
     _word_perms,
     _young_bases,
-    words_up_to,
 )
+from ncagm.ncpoly import words_up_to
 from ncagm.sdp import farkas_from_dual
 from ncagm.sdpa import render_sdpa
 

@@ -1,5 +1,6 @@
-"""Print one sha256 over a fixed set of solves, certificates and data
-matrices, so that two source trees can be shown to compute the same bits.
+"""Print one sha256 over a fixed set of solves, certificates, data
+matrices and certificate files, so that two source trees can be shown to
+compute the same bits.
 
 Run it from each tree and compare the two lines it prints:
 
@@ -15,7 +16,11 @@ with the default solver options:
 - the margin and PSD defect of the lifted (5,5,+1) dual at lambda = 120;
 - ``extract_farkas`` on the unreduced (2,2,+1) problem at lambda = 0.4;
 - the bytes of ``dense_matrix(k)`` for every k of the full and the
-  reduced (5,5,+1) problem.
+  reduced (5,5,+1) problem;
+- the exit code, stdout and ``--out`` file of ``ncagm certify sos-m2`` for
+  n = 2..20 (each file holds the certificate and its ``verify_sos``
+  verdict) and of ``ncagm certify farkas --m 5 --n 5 --lambda 120``: the
+  outputs of the benchmark's ``certify`` workload.
 
 Each solve adds its status, iteration count, the repr of both objectives
 and of the gap, its fallbacks, and the bytes of its dual and primal blocks.
@@ -23,9 +28,12 @@ The digest depends on the BLAS thread count only where the solver's results
 do; compare trees at the same ``OPENBLAS_NUM_THREADS``.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
+import tempfile
 from itertools import groupby
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -33,7 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from ncagm import (assemble_sdp, extract_farkas, retargeting, solve,  # noqa: E402
                    solve_many, symmetry_reduce)
-from ncagm.cli import DEFAULT_ROWS, HEAVY_ROWS  # noqa: E402
+from ncagm.cli import DEFAULT_ROWS, HEAVY_ROWS, main as cli_main  # noqa: E402
 from ncagm.sdp import farkas_from_dual, optimal_dual  # noqa: E402
 
 
@@ -48,6 +56,18 @@ def add_solution(digest, sol):
 def add_certificate(digest, cert):
     digest.update(repr((cert.lambda_target, cert.y0, cert.margin, cert.psd_defect)).encode())
     digest.update(cert.y.tobytes())
+
+
+def add_command(digest, argv, directory):
+    """Run ``ncagm argv --out FILE`` and add its exit code, stdout and
+    file."""
+    path = os.path.join(directory, "out.json")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main([*argv, "--out", path])
+    digest.update(repr((code, stdout.getvalue())).encode())
+    with open(path, "rb") as fh:
+        digest.update(fh.read())
 
 
 def main():
@@ -74,6 +94,11 @@ def main():
         for k in range(problem.num_constraints + 1):
             for block in problem.dense_matrix(k):
                 digest.update(block.tobytes())
+    with tempfile.TemporaryDirectory() as directory:
+        for n in range(2, 21):
+            add_command(digest, ["certify", "sos-m2", "--n", str(n)], directory)
+        add_command(digest, ["certify", "farkas", "--m", "5", "--n", "5", "--lambda", "120"],
+                    directory)
     print(digest.hexdigest())
 
 
