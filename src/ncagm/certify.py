@@ -1,14 +1,16 @@
 """Exact rational certificate verification and numeric instance checks.
 
-Sum-of-squares certificates are checked with no tolerances at all.  PSD-ness
-of the Gram blocks is decided by fraction-free (Bareiss) elimination of the
-denominator-scaled integer matrix, once per orbit of blocks: S_n permutes
-the blocks Y_1..Y_n, so a block that equals Y_1 under the basis permutation
-of a letter transposition takes Y_1's verdict.  The expansion identity is
-compared word by word in integers over one common denominator.  Farkas
-certificates and explicit matrix instances are rechecked in floating point;
-a Farkas certificate's PSD bound is decided by Cholesky on blocks scattered
-here, not by the solver module's PSD-defect routine that measured it.
+Sum-of-squares certificates are checked with no tolerances at all.  Each
+Gram block carries an integer form, integer rows over one denominator, and
+the checks read only that.  PSD-ness of the Gram blocks is decided by
+fraction-free (Bareiss) elimination of the integer rows, once per orbit of
+blocks: S_n permutes the blocks Y_1..Y_n, so a block that equals Y_1 under
+the basis permutation of a letter transposition takes Y_1's verdict.  The
+expansion identity is compared word by word in integers over one common
+denominator.  Farkas certificates and explicit matrix instances are
+rechecked in floating point; a Farkas certificate's PSD bound is decided
+by Cholesky on blocks scattered here, not by the solver module's
+PSD-defect routine that measured it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -28,24 +31,59 @@ class CertificateError(ValueError):
 
 
 class RationalMatrix:
-    """Dense symmetric matrix of arbitrary-precision rationals."""
+    """Dense symmetric matrix of arbitrary-precision rationals.
 
-    __slots__ = ("entries", "dim")
+    Next to its ``Fraction`` entries it holds an integer form, computed once
+    at construction: ``numerators``, a list of integer rows, over one
+    positive ``denominator``, the LCM of the reduced entries' denominators,
+    so that entries[i][j] == numerators[i][j] / denominator.  The exact
+    checks and the JSON writer read the integer form; a matrix made by
+    ``from_integers`` builds its entries when they are first read.
+    """
+
+    __slots__ = ("_entries", "dim", "numerators", "denominator")
 
     def __init__(self, rows):
         entries = [[v if isinstance(v, Fraction) else Fraction(v) for v in row]
                    for row in rows]
-        dim = len(entries)
-        for row in entries:
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
-        if [list(col) for col in zip(*entries)] != entries:
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    if entries[i][j] != entries[j][i]:
-                        raise ValueError(f"matrix not symmetric at ({i},{j})")
-        self.entries = entries
-        self.dim = dim
+        _check_symmetric(entries)
+        denominator = math.lcm(*{v.denominator for row in entries for v in row})
+        self._entries = entries
+        self.dim = len(entries)
+        self.numerators = [[v.numerator * (denominator // v.denominator) for v in row]
+                           for row in entries]
+        self.denominator = denominator
+
+    @classmethod
+    def from_integers(cls, numerators, denominator):
+        """The matrix numerators / denominator, from square, symmetric
+        integer rows over a positive integer denominator in lowest terms:
+        the gcd of the denominator and all numerators must be 1, so that
+        the denominator is the LCM of the reduced entries' denominators."""
+        numerators = [list(row) for row in numerators]
+        if not set(map(type, chain.from_iterable(numerators))) <= {int}:
+            raise ValueError("numerators must be integers")
+        if type(denominator) is not int or denominator <= 0:
+            raise ValueError(f"denominator must be a positive integer, got {denominator!r}")
+        _check_symmetric(numerators)
+        if math.gcd(denominator, *chain.from_iterable(numerators)) != 1:
+            raise ValueError(f"denominator {denominator} is not in lowest terms "
+                             "with the numerators")
+        mat = cls.__new__(cls)
+        mat._entries = None
+        mat.dim = len(numerators)
+        mat.numerators = numerators
+        mat.denominator = denominator
+        return mat
+
+    @property
+    def entries(self):
+        """The entries as a list of ``Fraction`` rows."""
+        if self._entries is None:
+            den = self.denominator
+            fractions = {v: Fraction(v, den) for v in set(chain.from_iterable(self.numerators))}
+            self._entries = [list(map(fractions.__getitem__, row)) for row in self.numerators]
+        return self._entries
 
     @classmethod
     def identity(cls, dim):
@@ -59,36 +97,31 @@ class RationalMatrix:
         return np.array([[float(v) for v in row] for row in self.entries])
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return (isinstance(other, RationalMatrix) and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __repr__(self):
         return f"RationalMatrix({self.entries!r})"
 
 
-def _distinct_entries(matrices):
-    """Each distinct entry object of the matrices, keyed by id.  The blocks
-    of a certificate share entry objects, so work done per object runs once
-    per value; the map holds the objects, so no id is reused while it lives."""
-    distinct = {}
-    for mat in matrices:
-        for row in mat.entries:
-            distinct.update(zip(map(id, row), row))
-    return distinct
-
-
-def _scaled_entries(matrices):
-    """(scale, scaled): the LCM of the entries' denominators, and each
-    distinct entry times scale as an integer, keyed by the entry's id."""
-    distinct = _distinct_entries(matrices)
-    scale = math.lcm(*{v.denominator for v in distinct.values()})
-    return scale, {k: v.numerator * (scale // v.denominator) for k, v in distinct.items()}
+def _check_symmetric(rows):
+    """Raise ValueError unless ``rows`` is a square, symmetric list of rows."""
+    dim = len(rows)
+    for row in rows:
+        if len(row) != dim:
+            raise ValueError("matrix must be square")
+    if [list(col) for col in zip(*rows)] != rows:
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                if rows[i][j] != rows[j][i]:
+                    raise ValueError(f"matrix not symmetric at ({i},{j})")
 
 
 def psd_check_exact(mat):
     """Exact PSD decision by fraction-free (Bareiss) symmetric elimination.
 
-    The matrix is scaled by the LCM of its entries' denominators and then
-    eliminated in integers with the greedy max-diagonal pivot,
+    The matrix's integer form, its entries times the common denominator,
+    is eliminated in integers with the greedy max-diagonal pivot,
     a_ij <- (pivot * a_ij - a_ip * a_pj) // prev_pivot, where the division
     is exact.  By Sylvester's identity each intermediate entry is the
     rational Schur complement times the previous pivot, which is positive,
@@ -96,8 +129,7 @@ def psd_check_exact(mat):
     maximal pivot forces the entire remaining principal block to vanish for
     the matrix to be PSD.
     """
-    _, scaled = _scaled_entries([mat])
-    a = [list(map(scaled.__getitem__, map(id, row))) for row in mat.entries]
+    a = [row[:] for row in mat.numerators]
     prev = 1
     while a:
         p = max(range(len(a)), key=lambda i: a[i][i])
@@ -152,10 +184,13 @@ def expand_gram(n, d, gram_blocks):
             raise ValueError(
                 f"Gram block {i} has dimension {block.dim}, expected {q}"
             )
-    denom, scaled = _scaled_entries(gram_blocks)
+    denom = math.lcm(*(block.denominator for block in gram_blocks))
 
     def integer_rows(block):
-        return [list(map(scaled.__getitem__, map(id, row))) for row in block.entries]
+        scale = denom // block.denominator
+        if scale == 1:
+            return block.numerators
+        return [[scale * v for v in row] for row in block.numerators]
 
     words = basis.words
     acc = {}
@@ -187,21 +222,23 @@ def _gram_blocks_psd(n, d, gram_blocks):
     Swapping letters 1 and i maps rev(beta_a) X_1 beta_b to the word of
     block i, so in a symmetric certificate block i is block 1 with its
     basis permuted by that transposition.  A block equal to that
-    permutation congruence P Y_1 P^T takes Y_1's verdict, since congruence
-    by a permutation preserves PSD-ness; any other block, and block n+1,
-    is eliminated on its own.
+    permutation congruence P Y_1 P^T, compared as integer rows over the
+    same denominator, takes Y_1's verdict, since congruence by a
+    permutation preserves PSD-ness; any other block, and block n+1, is
+    eliminated on its own.
     """
     first = gram_blocks[0]
     if not psd_check_exact(first):
         return False
     basis = monomial_basis(n, d)
-    rows = first.entries
+    rows = first.numerators
     for i, block in enumerate(gram_blocks[1:n], start=2):
         swap = list(range(n + 1))
         swap[1], swap[i] = i, 1
         perm = [basis.index(map(swap.__getitem__, w)) for w in basis.words]
         image = [[row[b] for b in perm] for row in map(rows.__getitem__, perm)]
-        if block.entries != image and not psd_check_exact(block):
+        copy = block.denominator == first.denominator and block.numerators == image
+        if not copy and not psd_check_exact(block):
             return False
     return psd_check_exact(gram_blocks[n])
 
@@ -234,42 +271,45 @@ def verify_sos(cert):
 
 def build_m2_certificate(n):
     """Closed-form rational certificate for the improved m=2 lower bound,
-    lambda = n(n-1)/4.  The eleven entry values populate the n+1 Gram
-    blocks over the basis (1, X_1, ..., X_n); correctness is not assumed
-    here but established by verify_sos."""
+    lambda = n(n-1)/4.  The eleven entry values, as integers over 4n^2,
+    populate the n+1 Gram blocks over the basis (1, X_1, ..., X_n); each
+    block is built from its integer rows, over 4n^2 divided by the gcd of
+    its values.  Correctness is not assumed here but established by
+    verify_sos."""
     if n < 2:
         raise ValueError("need n >= 2")
-    fr = Fraction
-    a = fr(5 * (n - 1), 4)
-    b = fr(-3 * (n - 1), 2 * n)
-    c = fr(3 - n, 2 * n)
-    d_ = f = z = fr(2 * (n - 1), n * n)
-    e = g = w = fr(n - 2, n * n)
-    x = fr(n - 1, 4)
-    y = fr(-(n - 1), 2 * n)
+    # a = 5(n-1)/4, b = -3(n-1)/(2n), c = (3-n)/(2n), d = f = z = 2(n-1)/n^2,
+    # e = g = w = (n-2)/n^2, x = (n-1)/4 and y = -(n-1)/(2n), times 4n^2
+    den = 4 * n * n
+    a, b, c = 5 * (n - 1) * n * n, -6 * (n - 1) * n, 2 * (3 - n) * n
+    d_ = f = z = 8 * (n - 1)
+    e = g = w = 4 * (n - 2)
+    x, y = (n - 1) * n * n, -2 * (n - 1) * n
 
     q = n + 1
     blocks = []
-    for i in range(1, n + 1):
-        rows = [[fr(0)] * q for _ in range(q)]
-        rows[0][0] = a
+    k = math.gcd(den, a, b, c, d_, e)
+    a, b, c, d_, e, f, g = (v // k for v in (a, b, c, d_, e, f, g))
+    for i in range(1, q):
+        top = [a] + [c] * n
+        top[i] = b
+        rows = [top]
         for j in range(1, q):
-            rows[0][j] = rows[j][0] = b if j == i else c
-            rows[j][j] = d_ if j == i else f
-            for k in range(j + 1, q):
-                val = e if i in (j, k) else g
-                rows[j][k] = rows[k][j] = val
-        blocks.append(RationalMatrix(rows))
-    rows = [[fr(0)] * q for _ in range(q)]
-    rows[0][0] = x
+            row = [top[j]] + ([e] * n if j == i else [g] * n)
+            row[i] = e
+            row[j] = d_ if j == i else f
+            rows.append(row)
+        blocks.append(RationalMatrix.from_integers(rows, den // k))
+    k = math.gcd(den, x, y, z, w)
+    x, y, z, w = (v // k for v in (x, y, z, w))
+    rows = [[x] + [y] * n]
     for j in range(1, q):
-        rows[0][j] = rows[j][0] = y
-        rows[j][j] = z
-        for k in range(j + 1, q):
-            rows[j][k] = rows[k][j] = w
-    blocks.append(RationalMatrix(rows))
+        row = [y] + [w] * n
+        row[j] = z
+        rows.append(row)
+    blocks.append(RationalMatrix.from_integers(rows, den // k))
 
-    return SosCertificate(m=2, n=n, sign=1, lam=fr(n * (n - 1), 4), gram_blocks=blocks)
+    return SosCertificate(m=2, n=n, sign=1, lam=Fraction(n * (n - 1), 4), gram_blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +468,24 @@ def _frac_str(value):
     return f"{value.numerator}/{value.denominator}"
 
 
+def _block_strs(block):
+    """The block's entries as "p/q" strings, each distinct value formatted
+    once from the integer form."""
+    den = block.denominator
+    text = {}
+    for v in set(chain.from_iterable(block.numerators)):
+        k = math.gcd(v, den)
+        text[v] = f"{v // k}/{den // k}"
+    return [list(map(text.__getitem__, row)) for row in block.numerators]
+
+
 def sos_certificate_to_json(cert):
-    text = {k: _frac_str(v) for k, v in _distinct_entries(cert.gram_blocks).items()}
     return {
         "m": cert.m,
         "n": cert.n,
         "sign": cert.sign,
         "lambda": _frac_str(cert.lam),
-        "blocks": [
-            [list(map(text.__getitem__, map(id, row))) for row in block.entries]
-            for block in cert.gram_blocks
-        ],
+        "blocks": [_block_strs(block) for block in cert.gram_blocks],
     }
 
 
@@ -479,7 +526,7 @@ def farkas_to_json(cert):
         "sign": cert.meta.get("sign"),
         "lambda": repr(float(cert.lambda_target)),
         "y0": repr(float(cert.y0)),
-        "dual": [repr(float(v)) for v in cert.y],
+        "dual": list(map(repr, np.asarray(cert.y, dtype=float).tolist())),
         "margin": repr(float(cert.margin)),
         "psd_defect": repr(float(cert.psd_defect)),
     }

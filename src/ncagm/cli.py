@@ -16,8 +16,8 @@ Accelerate is unsafe on macOS) or under ``--symmetry off``, the same
 BLAS-bound, and two of them at once slow each other down.
 
 Exit codes: 0 success/verified, 1 no certificate exists for the requested
-target, 2 usage error, 3 solver non-optimal, 4 invalid certificate,
-5 instance violation found.
+target, 2 usage error (an --out file that cannot be written among them),
+3 solver non-optimal, 4 invalid certificate, 5 instance violation found.
 """
 
 from __future__ import annotations
@@ -59,9 +59,87 @@ def _build_problem(m, n, sign, args):
     return problem
 
 
+class _WriteError(Exception):
+    """An --out file that cannot be written; ``main`` reports it."""
+
+
+def _write_out(path, text):
+    """Write ``text`` to the --out file ``path``, turning an OSError into a
+    _WriteError that names the path."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2))
+    _write_out(path, _json_text(payload))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value):
+    """The JSON text of a string, number, bool or None, as json.dumps
+    writes it; None when ``value`` is a container or not JSON."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _json_text(value, level=0):
+    """``json.dumps(value, indent=2)`` of a value nested ``level`` deep.
+    With ``indent`` set, the json module encodes item by item in Python;
+    here a list of strings is one ``str.join``."""
+    inner = "\n" + "  " * (level + 1)
+    outer = "\n" + "  " * level
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            joined = "".join(value)
+        except TypeError:  # an item that is not a string
+            items = ("," + inner).join([_json_text(v, level + 1) for v in value])
+        else:
+            # the encoder escapes character by character, so it leaves the
+            # concatenation as it is only if it leaves every item so
+            if _encode_str(joined) == '"' + joined + '"':
+                items = '"' + ('",' + inner + '"').join(value) + '"'
+            else:
+                items = ("," + inner).join(map(_encode_str, value))
+        return "[" + inner + items + outer + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                key = _json_scalar(key)
+                if key is None:
+                    raise TypeError("keys must be str, int, float, bool or None")
+            items.append(_encode_str(key) + ": " + _json_text(v, level + 1))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    text = _json_scalar(value)
+    if text is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return text
 
 
 def _error_row(m, n, error):
@@ -216,8 +294,7 @@ def cmd_table(args):
     records = [r for group in _group_records(groups, args) for r in group]
     text = format_table(records, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_SOLVER if any(r["verdict"] == "ERROR" for r in records) else EXIT_OK
@@ -283,8 +360,7 @@ def cmd_build_solve(args):
     problem = _build_problem(args.m, args.n, _sign(args), args)
     base = args.out or f"ncagm_m{args.m}_n{args.n}_{args.sign}"
     dat_path = base + ".dat-s"
-    with open(dat_path, "w") as fh:
-        fh.write(render_sdpa(problem))
+    _write_out(dat_path, render_sdpa(problem))
     if args.export_only:
         print(f"wrote {dat_path}")
         return EXIT_OK
@@ -466,7 +542,11 @@ def main(argv=None):
         parser.error(f"--m must not exceed --n (got m={args.m}, n={args.n})")
     if args.run is cmd_certify_sos_m2 and args.n < 2:
         parser.error(f"--n must be at least 2 (got n={args.n})")
-    return args.run(args)
+    try:
+        return args.run(args)
+    except _WriteError as exc:
+        print(f"ncagm: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry():

@@ -105,6 +105,81 @@ class TestRationalMatrix:
         assert np.allclose(eye.to_float(), np.eye(3))
 
 
+def m2_reference_blocks(n):
+    """The m = 2 Gram blocks from the eleven closed-form values as
+    Fractions, laid out entry by entry: the reference for
+    build_m2_certificate's integer closed form."""
+    fr = Fraction
+    a = fr(5 * (n - 1), 4)
+    b = fr(-3 * (n - 1), 2 * n)
+    c = fr(3 - n, 2 * n)
+    d_ = f = z = fr(2 * (n - 1), n * n)
+    e = g = w = fr(n - 2, n * n)
+    x = fr(n - 1, 4)
+    y = fr(-(n - 1), 2 * n)
+
+    q = n + 1
+    blocks = []
+    for i in range(1, n + 1):
+        rows = [[fr(0)] * q for _ in range(q)]
+        rows[0][0] = a
+        for j in range(1, q):
+            rows[0][j] = rows[j][0] = b if j == i else c
+            rows[j][j] = d_ if j == i else f
+            for k in range(j + 1, q):
+                val = e if i in (j, k) else g
+                rows[j][k] = rows[k][j] = val
+        blocks.append(RationalMatrix(rows))
+    rows = [[fr(0)] * q for _ in range(q)]
+    rows[0][0] = x
+    for j in range(1, q):
+        rows[0][j] = rows[j][0] = y
+        rows[j][j] = z
+        for k in range(j + 1, q):
+            rows[j][k] = rows[k][j] = w
+    blocks.append(RationalMatrix(rows))
+    return blocks
+
+
+class TestIntegerForm:
+    """The integer rows over one denominator, from Fraction rows and from
+    the validating integer constructor."""
+
+    def test_from_fraction_rows(self):
+        mat = RationalMatrix([[Fraction(1, 2), Fraction(-1, 3)], [Fraction(-1, 3), 2]])
+        assert mat.numerators == [[3, -2], [-2, 12]] and mat.denominator == 6
+        assert RationalMatrix.from_integers([[3, -2], [-2, 12]], 6) == mat
+        assert RationalMatrix([[0, 0], [0, 0]]).denominator == 1
+
+    def test_from_integers_entries(self):
+        mat = RationalMatrix.from_integers([[2, -3], [-3, 0]], 4)
+        assert mat.entries == [[Fraction(1, 2), Fraction(-3, 4)], [Fraction(-3, 4), 0]]
+        assert all(type(v) is Fraction for row in mat.entries for v in row)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_m2_blocks_match_fraction_reference(self, n):
+        blocks = build_m2_certificate(n).gram_blocks
+        reference = m2_reference_blocks(n)
+        assert len(blocks) == len(reference) == n + 1
+        for got, ref in zip(blocks, reference):
+            assert got.entries == ref.entries
+            assert got.numerators == ref.numerators
+            assert got.denominator == ref.denominator
+
+    @pytest.mark.parametrize("rows,denominator,message", [
+        ([[1, 2], [3, 4]], 1, r"not symmetric at \(0,1\)"),
+        ([[1]], 0, "positive integer"),
+        ([[1]], -4, "positive integer"),
+        ([[2]], 4, "not in lowest terms"),
+        ([[1, 2]], 1, "square"),
+        ([[1.0]], 1, "integers"),
+    ], ids=["asymmetric", "zero-denominator", "negative-denominator", "non-canonical",
+            "not-square", "float-numerator"])
+    def test_from_integers_rejects(self, rows, denominator, message):
+        with pytest.raises(ValueError, match=message):
+            RationalMatrix.from_integers(rows, denominator)
+
+
 class TestPsdCheckExact:
     def test_identity_true(self):
         for dim in (1, 2, 5):

@@ -320,6 +320,24 @@ class TestUsageErrors:
         assert err.value.code == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,suffix", [
+        (["table"], ""),
+        (["solve", "--m", "2", "--n", "2"], ".dat-s"),
+        (["certify", "farkas", "--m", "2", "--n", "2", "--lambda", "0.4"], ""),
+        (["certify", "sos-m2", "--n", "3"], ""),
+        (["certify", "check-instance", "INSTANCE"], ""),
+    ], ids=["table", "solve", "farkas", "sos-m2", "check-instance"])
+    def test_unwritable_out_exits_2(self, argv, suffix, capsys, tmp_path):
+        # an --out path in a directory that does not exist
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps({"n": 1, "m": 1, "matrices": [[1.0]]}))
+        out = str(tmp_path / "missing" / "out")
+        argv = [str(instance) if a == "INSTANCE" else a for a in argv]
+        code, stdout, err = run(argv + ["--out", out], capsys)
+        assert code == EXIT_USAGE
+        assert err == f"ncagm: error: cannot write {out}{suffix}: No such file or directory\n"
+        assert "verified" not in stdout and "wrote" not in stdout
+
 
 class TestSolve:
     def test_solve_2_3_plus(self, capsys, tmp_path):
@@ -536,6 +554,11 @@ class TestWriteJson:
                         "r\u00e9sum\u00e9": {"a": [[], {}, [1, 2.5, None, True]]},
                         "dual": [repr(k / 7) for k in range(600)],
                         "counts": [[k, -k / 3] for k in range(300)] + list(range(300))})
+        # non-string keys, empties at depth 3, mixed lists and escapes
+        payload.update({"keys": {7: "int", 2.5: "float", True: "bool", None: "none"},
+                        "deep": {"b": {"c": {"list": [], "dict": {}}}},
+                        "mixed": ["a", 1, "b", 2.5, None, "c"],
+                        "escaped": "\"\\\n\u2264", "\"\\\n\u2264": ["\"\\\n\u2264"]})
         ncagm.cli._write_json(str(out), payload)
         self.assert_same_bytes([(out, payload)])
 

@@ -20,7 +20,10 @@ with the default solver options:
 - the exit code, stdout and ``--out`` file of ``ncagm certify sos-m2`` for
   n = 2..20 (each file holds the certificate and its ``verify_sos``
   verdict) and of ``ncagm certify farkas --m 5 --n 5 --lambda 120``: the
-  outputs of the benchmark's ``certify`` workload.
+  outputs of the benchmark's ``certify`` workload;
+- each of those sos-m2 files reloaded with ``sos_certificate_from_json``:
+  the ``verify_sos`` verdict and ``sos_certificate_to_json`` of the
+  reloaded certificate, whose Gram blocks are built from "p/q" strings.
 
 Each solve adds its status, iteration count, the repr of both objectives
 and of the gap, its fallbacks, and the bytes of its dual and primal blocks.
@@ -31,6 +34,7 @@ do; compare trees at the same ``OPENBLAS_NUM_THREADS``.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -41,6 +45,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from ncagm import (assemble_sdp, extract_farkas, retargeting, solve,  # noqa: E402
                    solve_many, symmetry_reduce)
+from ncagm.certify import (sos_certificate_from_json,  # noqa: E402
+                           sos_certificate_to_json, verify_sos)
 from ncagm.cli import DEFAULT_ROWS, HEAVY_ROWS, main as cli_main  # noqa: E402
 from ncagm.sdp import farkas_from_dual, optimal_dual  # noqa: E402
 
@@ -59,8 +65,8 @@ def add_certificate(digest, cert):
 
 
 def add_command(digest, argv, directory):
-    """Run ``ncagm argv --out FILE`` and add its exit code, stdout and
-    file."""
+    """Run ``ncagm argv --out FILE``, add its exit code, stdout and file,
+    and return the file's path."""
     path = os.path.join(directory, "out.json")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -68,6 +74,16 @@ def add_command(digest, argv, directory):
     digest.update(repr((code, stdout.getvalue())).encode())
     with open(path, "rb") as fh:
         digest.update(fh.read())
+    return path
+
+
+def add_reloaded(digest, path):
+    """Reload the sos-m2 certificate file ``path`` and add the verdict and
+    the JSON of the reloaded certificate."""
+    with open(path) as fh:
+        cert = sos_certificate_from_json(json.load(fh))
+    digest.update(repr(verify_sos(cert)).encode())
+    digest.update(json.dumps(sos_certificate_to_json(cert), indent=2).encode())
 
 
 def main():
@@ -96,7 +112,8 @@ def main():
                 digest.update(block.tobytes())
     with tempfile.TemporaryDirectory() as directory:
         for n in range(2, 21):
-            add_command(digest, ["certify", "sos-m2", "--n", str(n)], directory)
+            path = add_command(digest, ["certify", "sos-m2", "--n", str(n)], directory)
+            add_reloaded(digest, path)
         add_command(digest, ["certify", "farkas", "--m", "5", "--n", "5", "--lambda", "120"],
                     directory)
     print(digest.hexdigest())
