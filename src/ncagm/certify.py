@@ -1,8 +1,8 @@
 """Exact rational certificate verification and numeric instance checks.
 
 Sum-of-squares certificates are checked with no tolerances at all.  Each
-Gram block carries an integer form, integer rows over one denominator, and
-the checks read only that.  PSD-ness of the Gram blocks is decided by
+Gram block is held only as integer rows over one denominator, and the
+checks read that form.  PSD-ness of the Gram blocks is decided by
 fraction-free (Bareiss) elimination of the integer rows, once per orbit of
 blocks: S_n permutes the blocks Y_1..Y_n, so a block that equals Y_1 under
 the basis permutation of a letter transposition takes Y_1's verdict.  The
@@ -31,28 +31,23 @@ class CertificateError(ValueError):
 
 
 class RationalMatrix:
-    """Dense symmetric matrix of arbitrary-precision rationals.
-
-    Next to its ``Fraction`` entries it holds an integer form, computed once
-    at construction: ``numerators``, a list of integer rows, over one
-    positive ``denominator``, the LCM of the reduced entries' denominators,
-    so that entries[i][j] == numerators[i][j] / denominator.  The exact
-    checks and the JSON writer read the integer form; a matrix made by
-    ``from_integers`` builds its entries when they are first read.
+    """Dense symmetric matrix of arbitrary-precision rationals, held in
+    integer form only: ``numerators``, a list of integer rows, over one
+    positive ``denominator``, the LCM of the reduced entries'
+    denominators, so that entry (i, j) is numerators[i][j] / denominator.
+    The exact checks and the JSON writer read that form; ``entries``,
+    indexing and ``to_float`` are views of it.
     """
 
-    __slots__ = ("_entries", "dim", "numerators", "denominator")
+    __slots__ = ("dim", "numerators", "denominator")
 
     def __init__(self, rows):
-        entries = [[v if isinstance(v, Fraction) else Fraction(v) for v in row]
-                   for row in rows]
-        _check_symmetric(entries)
-        denominator = math.lcm(*{v.denominator for row in entries for v in row})
-        self._entries = entries
-        self.dim = len(entries)
-        self.numerators = [[v.numerator * (denominator // v.denominator) for v in row]
-                           for row in entries]
-        self.denominator = denominator
+        rows = [list(row) for row in rows]
+        # each distinct value is read once, then scaled to the LCM denominator
+        values = {v: Fraction(v) for v in set(chain.from_iterable(rows))}
+        denominator = math.lcm(*{v.denominator for v in values.values()})
+        scaled = {k: v.numerator * (denominator // v.denominator) for k, v in values.items()}
+        self._hold([list(map(scaled.__getitem__, row)) for row in rows], denominator)
 
     @classmethod
     def from_integers(cls, numerators, denominator):
@@ -65,36 +60,47 @@ class RationalMatrix:
             raise ValueError("numerators must be integers")
         if type(denominator) is not int or denominator <= 0:
             raise ValueError(f"denominator must be a positive integer, got {denominator!r}")
-        _check_symmetric(numerators)
         if math.gcd(denominator, *chain.from_iterable(numerators)) != 1:
             raise ValueError(f"denominator {denominator} is not in lowest terms "
                              "with the numerators")
         mat = cls.__new__(cls)
-        mat._entries = None
-        mat.dim = len(numerators)
-        mat.numerators = numerators
-        mat.denominator = denominator
+        mat._hold(numerators, denominator)
         return mat
+
+    def _hold(self, numerators, denominator):
+        """Take the integer form; raise ValueError unless its rows are square
+        and symmetric."""
+        dim = len(numerators)
+        for row in numerators:
+            if len(row) != dim:
+                raise ValueError("matrix must be square")
+        if [list(col) for col in zip(*numerators)] != numerators:
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    if numerators[i][j] != numerators[j][i]:
+                        raise ValueError(f"matrix not symmetric at ({i},{j})")
+        self.dim = dim
+        self.numerators = numerators
+        self.denominator = denominator
 
     @property
     def entries(self):
-        """The entries as a list of ``Fraction`` rows."""
-        if self._entries is None:
-            den = self.denominator
-            fractions = {v: Fraction(v, den) for v in set(chain.from_iterable(self.numerators))}
-            self._entries = [list(map(fractions.__getitem__, row)) for row in self.numerators]
-        return self._entries
+        """The entries as a new list of ``Fraction`` rows."""
+        den = self.denominator
+        return [[Fraction(v, den) for v in row] for row in self.numerators]
 
     @classmethod
     def identity(cls, dim):
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+        return cls.from_integers([[int(i == j) for j in range(dim)] for i in range(dim)], 1)
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        return Fraction(self.numerators[i][j], self.denominator)
 
     def to_float(self):
-        return np.array([[float(v) for v in row] for row in self.entries])
+        # integer true division is correctly rounded, as float(Fraction) is
+        den = self.denominator
+        return np.array([[v / den for v in row] for row in self.numerators])
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and self.denominator == other.denominator
@@ -102,19 +108,6 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({self.entries!r})"
-
-
-def _check_symmetric(rows):
-    """Raise ValueError unless ``rows`` is a square, symmetric list of rows."""
-    dim = len(rows)
-    for row in rows:
-        if len(row) != dim:
-            raise ValueError("matrix must be square")
-    if [list(col) for col in zip(*rows)] != rows:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
 
 
 def psd_check_exact(mat):
@@ -510,9 +503,11 @@ def sos_certificate_from_json(data):
     lam = Fraction(_rational_field(data["lambda"], '"lambda"'))
     blocks = data["blocks"]
     for i, block in enumerate(blocks):
-        for a, row in enumerate(block):
-            for b, value in enumerate(row):
-                _rational_field(value, f'"blocks"[{i}][{a}][{b}]')
+        if not set(map(type, chain.from_iterable(block))) <= {int, str}:
+            # name the first offender
+            for a, row in enumerate(block):
+                for b, value in enumerate(row):
+                    _rational_field(value, f'"blocks"[{i}][{a}][{b}]')
     return SosCertificate(
         m=m, n=n, sign=sign, lam=lam,
         gram_blocks=[RationalMatrix(block) for block in blocks],

@@ -199,7 +199,7 @@ def _serve(groups, args, tasks, out):
             index = int.from_bytes(task, "little")
             pickle.dump(index, fh)
             fh.flush()
-            ms, n = groups[index]
+            ms, n, _ = groups[index]
             pickle.dump(_table_group(ms, n, args), fh)
             fh.flush()
 
@@ -220,9 +220,9 @@ def _receive(fd):
 
 
 def _forked_groups(groups, args, workers):
-    """Records of each (ms, n) group, run in ``workers`` forked processes."""
+    """Records of each (ms, n, d) group, run in ``workers`` forked processes."""
     order = sorted(range(len(groups)), reverse=True,
-                   key=lambda k: (groups[k][0][0] // 2, groups[k][1]))
+                   key=lambda k: (groups[k][2], groups[k][1]))
     records, errors = {}, {}
     children = {}  # pid -> read end of its result pipe, until reaped
     tasks, feed = os.pipe()
@@ -267,7 +267,7 @@ def _forked_groups(groups, args, workers):
     finally:
         for fd in (tasks, *children.values()):
             os.close(fd)
-    for k, (ms, n) in enumerate(groups):
+    for k, (ms, n, _) in enumerate(groups):
         if k not in records:
             error = errors.get(k, "every worker ended before taking this group")
             records[k] = [_error_row(m, n, error) for m in ms]
@@ -275,22 +275,22 @@ def _forked_groups(groups, args, workers):
 
 
 def _group_records(groups, args):
-    """Records of each (ms, n) group, in forked workers when the problems
+    """Records of each (ms, n, d) group, in forked workers when the problems
     are symmetry-reduced and more than one CPU is usable on Linux, else
     in-process."""
     workers = 1
     if sys.platform == "linux" and args.symmetry == "on":
         workers = min(len(groups), len(os.sched_getaffinity(0)))
     if workers < 2:
-        return [_table_group(ms, n, args) for ms, n in groups]
+        return [_table_group(ms, n, args) for ms, n, _ in groups]
     return _forked_groups(groups, args, workers)
 
 
 def cmd_table(args):
     """Solve both lambda problems per row of the grid and print the table."""
     rows = DEFAULT_ROWS + (HEAVY_ROWS if args.heavy else [])
-    groups = [([m for m, _ in group], n)
-              for (n, _), group in groupby(rows, key=lambda row: (row[1], row[0] // 2))]
+    groups = [([m for m, _ in group], n, d)
+              for (n, d), group in groupby(rows, key=lambda row: (row[1], row[0] // 2))]
     records = [r for group in _group_records(groups, args) for r in group]
     text = format_table(records, args.format)
     if args.out:
@@ -312,15 +312,16 @@ def format_table(records, output_format):
     if output_format == "json":
         out = []
         for r in records:
-            item = {"m": r["m"], "n": r["n"], "bound": f"{r['bound']:.4f}",
-                    "verdict": r["verdict"]}
+            # keys in sorted order, the order of the table's JSON bytes
+            item = {"bound": f"{r['bound']:.4f}"}
+            if "error" in r:
+                item["error"] = r["error"]
             if "lambda1" in r:
                 item["lambda1"] = f"{r['lambda1']:.4f}"
                 item["lambda2"] = f"{r['lambda2']:.4f}"
-            if "error" in r:
-                item["error"] = r["error"]
+            item.update(m=r["m"], n=r["n"], verdict=r["verdict"])
             out.append(item)
-        return json.dumps(out, indent=2, sort_keys=True) + "\n"
+        return _json_text(out) + "\n"
     header = f"{'m':>3} {'n':>3} {'lambda1':>10} {'lambda2':>10} {'bound':>10}  verdict"
     lines = [header, "-" * len(header)]
     for r in records:

@@ -94,8 +94,6 @@ class TestRationalMatrix:
     def test_entries_are_fractions(self):
         third = Fraction(1, 3)
         mat = RationalMatrix([[third, "1/2"], [Fraction(2, 4), 7]])
-        # a Fraction entry is kept as it is, not copied
-        assert mat[0, 0] is third
         assert mat.entries == [[third, Fraction(1, 2)], [Fraction(1, 2), Fraction(7)]]
         assert all(type(v) is Fraction for row in mat.entries for v in row)
 
@@ -460,6 +458,10 @@ class TestSosCertificates:
     @pytest.mark.parametrize("path,value", [
         ((0, 1, 2), True), ((3, 0, 0), 0.1), ((1, 2, 2), 2.0), ((2, 0, 3), None),
         ("lambda", 1.5), ("lambda", True), ("lambda", [1, 2]),
+        # the last entry of the last block
+        ((3, 3, 3), 0.5),
+        # two bad values: the first in (block, row, column) order is named
+        ([(2, 0, 1), (1, 3, 0)], None), ([(1, 2, 0), (1, 0, 3)], True),
     ])
     def test_inexact_json_value_rejected(self, path, value):
         # Fraction() reads true as 1 and 0.1 as 3602879701896397/36028797018963968,
@@ -469,8 +471,10 @@ class TestSosCertificates:
             data["lambda"] = value
             name = '"lambda"'
         else:
-            i, a, b = path
-            data["blocks"][i][a][b] = value
+            paths = path if isinstance(path, list) else [path]
+            for i, a, b in paths:
+                data["blocks"][i][a][b] = value
+            i, a, b = min(paths)
             name = f'"blocks"[{i}][{a}][{b}]'
         with pytest.raises(ValueError, match=re.escape(name) + " must be an integer"):
             sos_certificate_from_json(data)
@@ -481,6 +485,13 @@ class TestSosCertificates:
         assert back.lam == cert.lam
         assert back.gram_blocks == cert.gram_blocks
         assert verify_sos(back)
+        # non-canonical but valid values load to the reduced integer form
+        block = [["2/4", "-0/3", 5], ["-0/3", "5", "-6/4"], [5, "-6/4", 0]]
+        data = {"m": 2, "n": 2, "sign": 1, "lambda": "1/2", "blocks": [block] * 3}
+        expected = RationalMatrix.from_integers([[1, 0, 10], [0, 10, -3], [10, -3, 0]], 2)
+        for got in sos_certificate_from_json(data).gram_blocks:
+            assert got.numerators == expected.numerators
+            assert got.denominator == expected.denominator
 
 
 def _transposed(block, n, i):

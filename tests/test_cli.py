@@ -74,6 +74,16 @@ class TestTable:
         assert by_key[(1, 3)]["lambda1"] == "3.0000"
         assert by_key[(1, 3)]["lambda2"] == "0.0000"
         assert by_key[(1, 3)]["verdict"] == "ok"
+        # the same bytes as the json module's sorted, indented encoding
+        records = [{"m": 2, "n": 3, "bound": 6.0, "lambda1": 1.5, "lambda2": -0.75,
+                    "verdict": "ok"},
+                   ncagm.cli._error_row(3, 3, "bad \"x\" \\ y\n\u2264 z")]
+        reference = [{"m": 2, "n": 3, "bound": "6.0000", "lambda1": "1.5000",
+                      "lambda2": "-0.7500", "verdict": "ok"},
+                     {"m": 3, "n": 3, "bound": "6.0000", "verdict": "ERROR",
+                      "error": "bad \"x\" \\ y\n\u2264 z"}]
+        assert ncagm.cli.format_table(records, "json") == (
+            json.dumps(reference, indent=2, sort_keys=True) + "\n")
 
     def test_heavy_json_bytes_pinned(self, capsys):
         code, stdout, _ = run(["table", "--heavy", "--format", "json"], capsys)

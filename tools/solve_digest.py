@@ -12,7 +12,8 @@ with the default solver options:
 - a lone solve of the symmetry-reduced problem of every m <= n <= 5, both
   signs, and of the unreduced problem of every m <= n <= 4, both signs;
 - the ten (n, d) groups of ``ncagm table --heavy``, each built once,
-  retargeted and solved with one ``solve_many``;
+  retargeted and solved with one ``solve_many``, and the exit code and
+  stdout of ``ncagm table --heavy`` in the text, csv and json formats;
 - the margin and PSD defect of the lifted (5,5,+1) dual at lambda = 120;
 - ``extract_farkas`` on the unreduced (2,2,+1) problem at lambda = 0.4;
 - the bytes of ``dense_matrix(k)`` for every k of the full and the
@@ -64,14 +65,19 @@ def add_certificate(digest, cert):
     digest.update(cert.y.tobytes())
 
 
+def add_run(digest, argv):
+    """Run ``ncagm argv`` and add its exit code and stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(argv)
+    digest.update(repr((code, stdout.getvalue())).encode())
+
+
 def add_command(digest, argv, directory):
     """Run ``ncagm argv --out FILE``, add its exit code, stdout and file,
     and return the file's path."""
     path = os.path.join(directory, "out.json")
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cli_main([*argv, "--out", path])
-    digest.update(repr((code, stdout.getvalue())).encode())
+    add_run(digest, [*argv, "--out", path])
     with open(path, "rb") as fh:
         digest.update(fh.read())
     return path
@@ -101,6 +107,8 @@ def main():
         to_target = retargeting(symmetry_reduce(assemble_sdp(ms[0], n, -1))[0])
         for sol in solve_many([to_target(m, sign) for m in ms for sign in (-1, +1)]):
             add_solution(digest, sol)
+    for output_format in ("text", "csv", "json"):
+        add_run(digest, ["table", "--heavy", "--format", output_format])
     full = assemble_sdp(5, 5, 1)
     reduced, orbits = symmetry_reduce(full)
     add_certificate(digest, farkas_from_dual(full, 120.0,
