@@ -158,6 +158,18 @@ class SosCertificate:
         return self.m // 2
 
 
+def _gram_basis(n, d, gram_blocks):
+    """The basis of words of degree <= d over n letters; raises ValueError
+    unless ``gram_blocks`` holds exactly n+1 blocks of the basis size."""
+    if len(gram_blocks) != n + 1:
+        raise ValueError(f"expected {n + 1} Gram blocks, got {len(gram_blocks)}")
+    basis = monomial_basis(n, d)
+    for i, block in enumerate(gram_blocks, start=1):
+        if block.dim != basis.size:
+            raise ValueError(f"Gram block {i} has dimension {block.dim}, expected {basis.size}")
+    return basis
+
+
 def expand_gram(n, d, gram_blocks):
     """Integer form of sum_i sum_{a,b} Y_i[a,b] * rev(beta_a) l_i beta_b.
 
@@ -168,15 +180,7 @@ def expand_gram(n, d, gram_blocks):
     and l_{n+1} = n - X_1 - ... - X_n, the word rev(beta_a) i beta_b gets
     Y_i[a,b] - Y_{n+1}[a,b] and rev(beta_a) beta_b gets n * Y_{n+1}[a,b].
     """
-    basis = monomial_basis(n, d)
-    q = basis.size
-    if len(gram_blocks) > n + 1:
-        raise ValueError(f"at most {n + 1} Gram blocks, got {len(gram_blocks)}")
-    for i, block in enumerate(gram_blocks, start=1):
-        if block.dim != q:
-            raise ValueError(
-                f"Gram block {i} has dimension {block.dim}, expected {q}"
-            )
+    words = _gram_basis(n, d, gram_blocks).words
     denom = math.lcm(*(block.denominator for block in gram_blocks))
 
     def integer_rows(block):
@@ -185,19 +189,15 @@ def expand_gram(n, d, gram_blocks):
             return block.numerators
         return [[scale * v for v in row] for row in block.numerators]
 
-    words = basis.words
     acc = {}
     get = acc.get
-    if len(gram_blocks) == n + 1:
-        last = integer_rows(gram_blocks[n])
-        for wa, row in zip(words, last):
-            ra = wa[::-1]
-            for wb, t in zip(words, row):
-                if t:
-                    w = ra + wb
-                    acc[w] = get(w, 0) + n * t
-    else:
-        last = [[0] * q] * q
+    last = integer_rows(gram_blocks[n])
+    for wa, row in zip(words, last):
+        ra = wa[::-1]
+        for wb, t in zip(words, row):
+            if t:
+                w = ra + wb
+                acc[w] = get(w, 0) + n * t
     for i, block in enumerate(gram_blocks[:n], start=1):
         for wa, row, row_last in zip(words, integer_rows(block), last):
             head = wa[::-1] + (i,)
@@ -208,7 +208,7 @@ def expand_gram(n, d, gram_blocks):
     return acc, denom
 
 
-def _gram_blocks_psd(n, d, gram_blocks):
+def _gram_blocks_psd(basis, gram_blocks):
     """True iff every Gram block is exactly PSD, with one Bareiss run per
     orbit of blocks.
 
@@ -220,10 +220,10 @@ def _gram_blocks_psd(n, d, gram_blocks):
     permutation preserves PSD-ness; any other block, and block n+1, is
     eliminated on its own.
     """
+    n = basis.n
     first = gram_blocks[0]
     if not psd_check_exact(first):
         return False
-    basis = monomial_basis(n, d)
     rows = first.numerators
     for i, block in enumerate(gram_blocks[1:n], start=2):
         swap = list(range(n + 1))
@@ -244,16 +244,10 @@ def verify_sos(cert):
         raise ValueError(f"sign must be +1 or -1, got {cert.sign}")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if len(cert.gram_blocks) != n + 1:
-        raise ValueError(f"expected {n + 1} Gram blocks, got {len(cert.gram_blocks)}")
-    d = cert.degree_bound
-    q = monomial_basis(n, d).size
-    for block in cert.gram_blocks:
-        if block.dim != q:
-            raise ValueError(f"Gram block dimension {block.dim}, expected {q}")
-    if not _gram_blocks_psd(n, d, cert.gram_blocks):
+    basis = _gram_basis(n, cert.degree_bound, cert.gram_blocks)
+    if not _gram_blocks_psd(basis, cert.gram_blocks):
         return False
-    coeffs, denom = expand_gram(n, d, cert.gram_blocks)
+    coeffs, denom = expand_gram(n, basis.d, cert.gram_blocks)
     target = {w: cert.sign * c for w, c in distinct_product_sum(m, n).terms.items()}
     target[()] = Fraction(cert.lam)
     for word, c in target.items():
@@ -502,7 +496,15 @@ def sos_certificate_from_json(data):
     m, n, sign = (_int_field(data, key) for key in ("m", "n", "sign"))
     lam = Fraction(_rational_field(data["lambda"], '"lambda"'))
     blocks = data["blocks"]
+    # iterating a string would read its characters as rows or entries
+    if type(blocks) is not list:
+        raise ValueError(f'"blocks" must be a list, got {blocks!r}')
     for i, block in enumerate(blocks):
+        if type(block) is not list:
+            raise ValueError(f'"blocks"[{i}] must be a list, got {block!r}')
+        for a, row in enumerate(block):
+            if type(row) is not list:
+                raise ValueError(f'"blocks"[{i}][{a}] must be a list, got {row!r}')
         if not set(map(type, chain.from_iterable(block))) <= {int, str}:
             # name the first offender
             for a, row in enumerate(block):

@@ -80,43 +80,21 @@ def _write_json(path, payload):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _json_scalar(value):
-    """The JSON text of a string, number, bool or None, as json.dumps
-    writes it; None when ``value`` is a container or not JSON."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
-def _json_text(value, level=0):
-    """``json.dumps(value, indent=2)`` of a value nested ``level`` deep.
-    With ``indent`` set, the json module encodes item by item in Python;
-    here a list of strings is one ``str.join``."""
-    inner = "\n" + "  " * (level + 1)
-    outer = "\n" + "  " * level
+def _json_text(value, newline="\n"):
+    """``json.dumps(value, indent=2)`` of a value whose line breaks are
+    ``newline``, a newline and the indent of its level.  With ``indent``
+    set, the json module encodes item by item in Python; here the
+    containers are walked, a list of strings is one ``str.join``, and every
+    other leaf and every key that is not a string goes through
+    ``json.dumps``."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        inner = newline + "  "
         try:
             joined = "".join(value)
         except TypeError:  # an item that is not a string
-            items = ("," + inner).join([_json_text(v, level + 1) for v in value])
+            items = ("," + inner).join([_json_text(v, inner) for v in value])
         else:
             # the encoder escapes character by character, so it leaves the
             # concatenation as it is only if it leaves every item so
@@ -124,22 +102,23 @@ def _json_text(value, level=0):
                 items = '"' + ('",' + inner + '"').join(value) + '"'
             else:
                 items = ("," + inner).join(map(_encode_str, value))
-        return "[" + inner + items + outer + "]"
+        return "[" + inner + items + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
+        inner = newline + "  "
         items = []
         for key, v in value.items():
             if not isinstance(key, str):
-                key = _json_scalar(key)
-                if key is None:
-                    raise TypeError("keys must be str, int, float, bool or None")
-            items.append(_encode_str(key) + ": " + _json_text(v, level + 1))
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    text = _json_scalar(value)
-    if text is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return text
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = json.dumps(key)
+            items.append(_encode_str(key) + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, str):
+        return _encode_str(value)
+    return json.dumps(value)
 
 
 def _error_row(m, n, error):

@@ -875,12 +875,15 @@ def psd_defect_of(problem, y0, y):
     return max(float(np.linalg.eigvalsh(blk).max()) for blk in blocks)
 
 
-def farkas_from_dual(problem, lambda_target, dual, margin_threshold=1e-6):
+_MIN_MARGIN = 1e-6  # a ray whose margin is at most this proves nothing
+
+
+def farkas_from_dual(problem, lambda_target, dual):
     """The ray (y0, y) = (-1, dual) on ``problem``, with margin
     b'dual - lambda_target and its PSD defect measured on ``problem``.
-    Returns None when the margin is at most margin_threshold."""
+    Returns None when the margin is at most _MIN_MARGIN."""
     margin = float(np.asarray(problem.rhs) @ dual) - lambda_target
-    if margin <= margin_threshold:
+    if margin <= _MIN_MARGIN:
         return None
     return FarkasCertificate(
         lambda_target=float(lambda_target),
@@ -901,12 +904,11 @@ def optimal_dual(problem, options=None):
     return sol.dual
 
 
-def extract_farkas(problem, lambda_target, options=None, margin_threshold=1e-6):
+def extract_farkas(problem, lambda_target, options=None):
     """Farkas certificate that pinning tr(C0 Y) = lambda_target is infeasible.
 
     Solves the lambda-problem once; the dual optimum y* gives the ray
     (y0, y) = (-1, y*) with margin = lambda* - lambda_target.  Returns None
     when lambda_target is feasible (no valid ray exists).
     """
-    return farkas_from_dual(problem, lambda_target, optimal_dual(problem, options),
-                            margin_threshold)
+    return farkas_from_dual(problem, lambda_target, optimal_dual(problem, options))

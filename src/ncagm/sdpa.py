@@ -112,8 +112,9 @@ def import_sdpa(source):
         raise SdpaParseError(
             f"expected {num_blocks} block dimensions, found {len(tokens)}", lineno
         )
-    # a negated trailing entry denotes a diagonal block of that size
-    block_dims = tuple(abs(parse_int(t, lineno, "block dimension")) for t in tokens)
+    # a negated entry denotes a diagonal block of that size
+    signed_dims = [parse_int(t, lineno, "block dimension") for t in tokens]
+    block_dims = tuple(map(abs, signed_dims))
     if 0 in block_dims:
         raise SdpaParseError("block dimension 0", lineno)
 
@@ -148,6 +149,9 @@ def import_sdpa(source):
                 "(upper triangle required)",
                 lineno,
             )
+        if i != j and signed_dims[blkno - 1] < 0:
+            raise SdpaParseError(f"off-diagonal entry ({i},{j}) in diagonal block {blkno}",
+                                 lineno)
         target = objective if matno == 0 else constraints[matno - 1]
         key = (blkno - 1, i - 1, j - 1)
         if key in target:

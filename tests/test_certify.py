@@ -365,8 +365,11 @@ class TestExpandGram:
         assert self._expand(n, d, blocks) == expand_with_gram(n, d, 0, blocks)
 
     def test_too_many_blocks_rejected(self):
-        with pytest.raises(ValueError, match="at most 3 Gram blocks"):
+        with pytest.raises(ValueError, match="expected 3 Gram blocks"):
             expand_gram(2, 1, [RationalMatrix.identity(3)] * 4)
+        # n blocks, without Y_{n+1}, are too few
+        with pytest.raises(ValueError, match="expected 3 Gram blocks"):
+            expand_gram(2, 1, [RationalMatrix.identity(3)] * 2)
 
 
 class TestSosCertificates:
@@ -477,6 +480,18 @@ class TestSosCertificates:
             i, a, b = min(paths)
             name = f'"blocks"[{i}][{a}][{b}]'
         with pytest.raises(ValueError, match=re.escape(name) + " must be an integer"):
+            sos_certificate_from_json(data)
+
+    @pytest.mark.parametrize("blocks,name", [
+        ("12", '"blocks"'),
+        ([[["1"]], "1", [["1"]]], '"blocks"[1]'),
+        ([["12", "21"], ["1"]], '"blocks"[0][0]'),
+    ])
+    def test_non_list_blocks_rejected(self, blocks, name):
+        # iterating a string reads its characters: the last payload would
+        # load as the blocks [[1, 2], [2, 1]] and [[1]]
+        data = {"m": 2, "n": 2, "sign": 1, "lambda": "1/2", "blocks": blocks}
+        with pytest.raises(ValueError, match=re.escape(name) + " must be a list"):
             sos_certificate_from_json(data)
 
     def test_json_round_trip(self):

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import pickle
 import re
@@ -569,6 +570,11 @@ class TestWriteJson:
                         "deep": {"b": {"c": {"list": [], "dict": {}}}},
                         "mixed": ["a", 1, "b", 2.5, None, "c"],
                         "escaped": "\"\\\n\u2264", "\"\\\n\u2264": ["\"\\\n\u2264"]})
+        # the leaves and keys that json.dumps writes in its own spelling;
+        # -0.0 and False are equal keys, so they sit in different objects
+        payload.update({"leaves": [math.nan, math.inf, -math.inf, -0.0, 1e300, 10**30],
+                        "zero": {-0.0: -0.0},
+                        "more keys": {math.nan: 1, math.inf: 2, 10**20: 3, False: 4}})
         ncagm.cli._write_json(str(out), payload)
         self.assert_same_bytes([(out, payload)])
 

@@ -175,6 +175,12 @@ class TestParsing:
             import_sdpa(text)
         assert err.value.line_number == 5
 
+    def test_off_diagonal_entry_in_diagonal_block_rejected(self):
+        text = "1\n1\n-2\n3.0\n1 1 1 2 1.0\n"
+        with pytest.raises(SdpaParseError, match="off-diagonal entry") as err:
+            import_sdpa(text)
+        assert err.value.line_number == 5
+
     def test_bad_block_number(self):
         text = "1\n1\n2\n3.0\n1 2 1 1 1.0\n"
         with pytest.raises(SdpaParseError):

@@ -24,7 +24,13 @@ with the default solver options:
   outputs of the benchmark's ``certify`` workload;
 - each of those sos-m2 files reloaded with ``sos_certificate_from_json``:
   the ``verify_sos`` verdict and ``sos_certificate_to_json`` of the
-  reloaded certificate, whose Gram blocks are built from "p/q" strings.
+  reloaded certificate, whose Gram blocks are built from "p/q" strings;
+- the exit code, stdout and both files (``.dat-s`` and ``.json``) of
+  ``ncagm solve --m 2 --n 3 --out BASE`` (its stdout names the files, with
+  their temporary directory spelled DIR), and the exit code, stdout and
+  ``--out`` file of ``ncagm certify check-instance`` on the sharp 2 x 2
+  pair diag(3/2, 0), [[1/6, sqrt(2)/3], [sqrt(2)/3, 4/3]] at m = 2, so
+  that every kind of file the CLI writes is covered.
 
 Each solve adds its status, iteration count, the repr of both objectives
 and of the gap, its fallbacks, and the bytes of its dual and primal blocks.
@@ -36,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -65,12 +72,22 @@ def add_certificate(digest, cert):
     digest.update(cert.y.tobytes())
 
 
-def add_run(digest, argv):
-    """Run ``ncagm argv`` and add its exit code and stdout."""
+def add_run(digest, argv, directory=None):
+    """Run ``ncagm argv`` and add its exit code and stdout, where the
+    temporary ``directory``, if given, is spelled DIR."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli_main(argv)
-    digest.update(repr((code, stdout.getvalue())).encode())
+    text = stdout.getvalue()
+    if directory is not None:
+        text = text.replace(directory, "DIR")
+    digest.update(repr((code, text)).encode())
+
+
+def add_files(digest, *paths):
+    for path in paths:
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
 
 
 def add_command(digest, argv, directory):
@@ -78,8 +95,7 @@ def add_command(digest, argv, directory):
     and return the file's path."""
     path = os.path.join(directory, "out.json")
     add_run(digest, [*argv, "--out", path])
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
+    add_files(digest, path)
     return path
 
 
@@ -124,6 +140,15 @@ def main():
             add_reloaded(digest, path)
         add_command(digest, ["certify", "farkas", "--m", "5", "--n", "5", "--lambda", "120"],
                     directory)
+        base = os.path.join(directory, "solve")
+        add_run(digest, ["solve", "--m", "2", "--n", "3", "--out", base], directory)
+        add_files(digest, base + ".dat-s", base + ".json")
+        instance = os.path.join(directory, "instance.json")
+        off = math.sqrt(2) / 3
+        with open(instance, "w") as fh:
+            json.dump({"n": 2, "m": 2,
+                       "matrices": [[1.5, 0.0, 0.0, 0.0], [1 / 6, off, off, 4 / 3]]}, fh)
+        add_command(digest, ["certify", "check-instance", instance], directory)
     print(digest.hexdigest())
 
 
