@@ -493,12 +493,19 @@ def _rational_field(value, name):
 
 
 def sos_certificate_from_json(data):
+    if not isinstance(data, dict) or not {"m", "n", "sign", "lambda", "blocks"} <= data.keys():
+        raise ValueError('certificate must be a JSON object with keys "m", "n", "sign", '
+                         '"lambda" and "blocks"')
     m, n, sign = (_int_field(data, key) for key in ("m", "n", "sign"))
-    lam = Fraction(_rational_field(data["lambda"], '"lambda"'))
+    try:
+        lam = Fraction(_rational_field(data["lambda"], '"lambda"'))
+    except ZeroDivisionError:
+        raise ValueError('"lambda" has a zero denominator') from None
     blocks = data["blocks"]
     # iterating a string would read its characters as rows or entries
     if type(blocks) is not list:
         raise ValueError(f'"blocks" must be a list, got {blocks!r}')
+    gram_blocks = []
     for i, block in enumerate(blocks):
         if type(block) is not list:
             raise ValueError(f'"blocks"[{i}] must be a list, got {block!r}')
@@ -510,10 +517,11 @@ def sos_certificate_from_json(data):
             for a, row in enumerate(block):
                 for b, value in enumerate(row):
                     _rational_field(value, f'"blocks"[{i}][{a}][{b}]')
-    return SosCertificate(
-        m=m, n=n, sign=sign, lam=lam,
-        gram_blocks=[RationalMatrix(block) for block in blocks],
-    )
+        try:
+            gram_blocks.append(RationalMatrix(block))
+        except ZeroDivisionError:
+            raise ValueError(f'"blocks"[{i}] has an entry with a zero denominator') from None
+    return SosCertificate(m=m, n=n, sign=sign, lam=lam, gram_blocks=gram_blocks)
 
 
 def farkas_to_json(cert):

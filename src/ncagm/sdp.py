@@ -25,7 +25,9 @@ preserved), restricted to the constraint rows that touch the block.  The
 Schur complement is assembled block by block as A_k (Y_k (x) Z_k^-1) A_k^T,
 with (x) the symmetric Kronecker product, on those rows only.  It is
 factored by Cholesky once per iteration, and the factor is inverted once
-so that every direction solve is two matrix-vector products.
+so that every direction solve is two matrix-vector products.  Every
+triangular factor, of a block or of the Schur complement, is inverted by
+one routine: one LAPACK inverse up to 64 rows, in-place 2x2 blocking above.
 
 Each problem's K blocks are held as one (K, D, D) stack, each block padded
 with zeros to the largest block size D.  The padding stays exactly zero:
@@ -441,60 +443,24 @@ class _SvecConstraints:
 _TRI_LEAF = 64
 
 
-class _TrilInverse:
-    """Inverts (B, n, n) stacks of nonsingular lower-triangular matrices by
-    recursive 2x2 blocking, so that nearly all the work is matrix products.
-    The diagonal blocks of at most _TRI_LEAF rows are inverted by forward
-    substitution, one row at a time, each into a buffer kept from call to
-    call, with the views that each row reads and writes made once, here.
-    When one block is the whole matrix, its buffer is the inverse, which
-    the next call overwrites; otherwise the inverse overwrites the argument,
-    each lower left block once both halves above and right of it are done,
-    so that no third matrix of the size of the Schur complement is held."""
-
-    def __init__(self, shape):
-        self.leaves, self.merges = [], []
-        self._plan(shape[0], 0, shape[-1])
-
-    def _plan(self, count, lo, hi):
-        n = hi - lo
-        if n <= _TRI_LEAF:
-            out, scale = np.zeros((count, n, n)), np.zeros((count, n, 1))
-            # row i of the block is -(l_i . out[:i, :i]) / l_ii
-            rows = [(i, out[:, :i - lo, :i - lo], out[:, i - lo:i - lo + 1, :i - lo],
-                     scale[:, i - lo:i - lo + 1]) for i in range(lo + 1, hi)]
-            self.leaves.append((lo, hi, out, (slice(None), range(n), range(n)), scale, rows))
-            return
-        mid = lo + n // 2
-        self._plan(count, lo, mid)
-        self._plan(count, mid, hi)
-        self.merges.append((lo, mid, hi))
-
-    def __call__(self, lower):
-        inv_diag = 1.0 / np.diagonal(lower, axis1=-2, axis2=-1)
-        # each diagonal block reads only its own rows of ``lower``
-        for lo, hi, out, diag, scale, rows in self.leaves:
-            out[diag] = inv_diag[:, lo:hi]
-            np.negative(inv_diag[:, lo:hi, None], out=scale)
-            for i, left, row, row_scale in rows:
-                np.matmul(lower[:, i:i + 1, lo:i], left, out=row)
-                row *= row_scale
-        if not self.merges:
-            return out
-        for lo, hi, block, *_ in self.leaves:
-            lower[:, lo:hi, lo:hi] = block
-        # the lower left block of each split, -out22 (lower21 out11), in
-        # place of lower21, which nothing reads afterwards
-        for lo, mid, hi in self.merges:
-            lower[:, mid:hi, lo:mid] = -lower[:, mid:hi, mid:hi] @ (
-                lower[:, mid:hi, lo:mid] @ lower[:, lo:mid, lo:mid])
-        return lower
-
-
 def _tril_inverse(lower):
-    """Inverse of each nonsingular lower-triangular matrix in a (B, n, n)
-    stack."""
-    return _TrilInverse(lower.shape)(lower.copy())
+    """Overwrites each nonsingular lower-triangular matrix of a (..., n, n)
+    stack with its inverse, and returns the stack.  Up to _TRI_LEAF rows
+    that is one LAPACK inverse.  Above, recursive 2x2 blocking puts nearly
+    all the work in matrix products and overwrites each lower left block
+    once both diagonal blocks are inverted, so that no second matrix of the
+    size of the Schur complement is held."""
+    n = lower.shape[-1]
+    if n <= _TRI_LEAF:
+        # LU pivots on some factors and leaves rounding noise above the
+        # diagonal
+        lower[...] = np.tril(np.linalg.inv(lower))
+        return lower
+    mid = n // 2
+    inv11 = _tril_inverse(lower[..., :mid, :mid])
+    inv22 = _tril_inverse(lower[..., mid:, mid:])
+    lower[..., mid:, :mid] = -inv22 @ (lower[..., mid:, :mid] @ inv11)
+    return lower
 
 
 def _t(mats):
@@ -572,10 +538,9 @@ class _SchurFactor:
     so each solve is two matrix-vector products.
 
     ``shift`` holds each problem's shift relative to its trace scale (0.0
-    for none).  ``invert`` inverts the factors; the inverses live in its
-    buffer until its next call."""
+    for none)."""
 
-    def __init__(self, s, invert):
+    def __init__(self, s):
         self.s = s
         try:
             chol = np.linalg.cholesky(s)
@@ -584,7 +549,7 @@ class _SchurFactor:
             # escalate on each problem by itself
             chol, self.shift = map(list, zip(*map(_shifted_cholesky, s)))
             chol = np.stack(chol)
-        self.chol_inv = invert(chol)
+        self.chol_inv = _tril_inverse(chol)
 
     def solve(self, rhs):
         """S^-1 rhs for each row of the (B, M) array ``rhs``."""
@@ -611,26 +576,24 @@ class _SchurFactor:
         return best[..., 0]
 
 
-def _factorize(cons, ys, zs, eye, invert):
+def _factorize(cons, ys, zs):
     """For the (B, K, D, D) iterates Y and Z of B problems: the inverse
     Cholesky factors [L(Y)^-1; L(Z)^-1], Z^-1 and the Schur factorization
-    of each problem; raises LinAlgError when any problem's fails.
-    ``invert`` inverts the Schur factors."""
+    of each problem; raises LinAlgError when any problem's fails."""
     # the padded factors are diag(L, I), exactly
     chols = np.linalg.cholesky(np.concatenate([ys, zs]) + cons.pad)
-    # numpy 1.x reads a (d, d) right-hand side against a stack as a stack
-    # of vectors, so the identity ``eye`` comes as a stack of one
-    chol_invs = np.linalg.solve(chols, eye)
+    # a copy: the Z^-1 solve below reads the factors
+    chol_invs = _tril_inverse(chols.copy())
     # Z^-1 by a second solve: the product L^-T L^-1 rounds differently and
     # sends the near-degenerate (4,4,+1) solve to its best iterate
     z_invs = _sym(np.linalg.solve(_t(chols[len(ys):]), chol_invs[len(ys):])) - cons.pad
-    return chol_invs, z_invs, _SchurFactor(cons.schur(ys, z_invs), invert)
+    return chol_invs, z_invs, _SchurFactor(cons.schur(ys, z_invs))
 
 
-def _factorizes(cons, ys, zs, eye):
+def _factorizes(cons, ys, zs):
     """Whether the iterates factor, as _factorize does it."""
     try:
-        _factorize(cons, ys, zs, eye, _tril_inverse)
+        _factorize(cons, ys, zs)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -765,22 +728,19 @@ def _lockstep(cons, c0, norm_c, b, opts):
     """The interior-point loop on the problems whose kept right-hand sides
     are the rows of ``b``; returns one finished _Run per problem."""
     nu = sum(cons.dims)
-    eye = np.eye(cons.dim)[None]
-    invert = _TrilInverse((len(b), cons.m, cons.m))
     runs = [_Run() for _ in b]
     live = runs  # the run of each problem still in the batch
     norm_b = np.sqrt(_dots(b, b))
     norm_c0 = max(norm_c, float(np.linalg.norm(c0)))
     alpha0 = 1.0 + np.abs(b).max(axis=1, initial=0.0) + norm_c0
-    ys = _scaled(alpha0, eye - cons.pad)
+    ys = _scaled(alpha0, np.eye(cons.dim) - cons.pad)
     zs = ys.copy()
     y = np.zeros(b.shape)
 
     def keep_only(going):
-        nonlocal live, b, norm_b, ys, zs, y, rd, gap, invert
+        nonlocal live, b, norm_b, ys, zs, y, rd, gap
         live = [live[p] for p in going]
         b, norm_b, ys, zs, y, rd, gap = (x[going] for x in (b, norm_b, ys, zs, y, rd, gap))
-        invert = _TrilInverse((len(going), cons.m, cons.m))
 
     for it in range(opts.max_iterations):
         pobj = _dots(ys, c0)
@@ -801,18 +761,18 @@ def _lockstep(cons, c0, norm_c, b, opts):
                 break
 
         try:
-            chol_invs, z_invs, factor = _factorize(cons, ys, zs, eye, invert)
+            chol_invs, z_invs, factor = _factorize(cons, ys, zs)
         except np.linalg.LinAlgError:
             # end only the problems whose own factorization fails; a lone
             # problem is the one that failed
             going = [p for p in range(len(live)) if len(live) > 1 and _factorizes(
-                cons, ys[p:p + 1], zs[p:p + 1], eye)]
+                cons, ys[p:p + 1], zs[p:p + 1])]
             for p in set(range(len(live))) - set(going):
                 live[p].status = "numerical_failure"
             keep_only(going)
             if not going:
                 break
-            chol_invs, z_invs, factor = _factorize(cons, ys, zs, eye, invert)
+            chol_invs, z_invs, factor = _factorize(cons, ys, zs)
         for run, shift in zip(live, factor.shift):
             run.max_shift = max(run.max_shift, shift)
 

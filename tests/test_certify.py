@@ -494,6 +494,21 @@ class TestSosCertificates:
         with pytest.raises(ValueError, match=re.escape(name) + " must be a list"):
             sos_certificate_from_json(data)
 
+    @pytest.mark.parametrize("edit,name", [
+        (lambda data: list(data), "JSON object"),
+        (lambda data: {k: v for k, v in data.items() if k != "blocks"}, "JSON object"),
+        (lambda data: {k: v for k, v in data.items() if k != "m"}, "JSON object"),
+        (lambda data: {**data, "lambda": "1/0"}, '"lambda"'),
+        (lambda data: {**data, "blocks": [*data["blocks"][:2], [["1/0"]]]}, '"blocks"[2]'),
+    ])
+    def test_malformed_payload_raises_value_error(self, edit, name):
+        # a caller that catches ValueError would see a TypeError, a KeyError
+        # or a ZeroDivisionError escape
+        data = edit({"m": 2, "n": 2, "sign": 1, "lambda": "1/2",
+                     "blocks": [[["1"]], [["1"]], [["1"]]]})
+        with pytest.raises(ValueError, match=re.escape(name)):
+            sos_certificate_from_json(data)
+
     def test_json_round_trip(self):
         cert = build_m2_certificate(4)
         back = sos_certificate_from_json(sos_certificate_to_json(cert))

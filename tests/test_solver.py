@@ -530,16 +530,24 @@ class TestSvecCore:
             assert np.array_equal(ax[p], cons.a_of(cons.stack(xs[p])[None])[0])
             assert np.array_equal(aty_p, cons.at_of(y[p:p + 1])[0])
 
-    @pytest.mark.parametrize("dim", [_TRI_LEAF + 1, 3 * _TRI_LEAF + 7])
-    def test_triangular_inverse(self, dim):
-        assert dim % 2 == 1 and dim > _TRI_LEAF
+    # 51 rows, the reduced (5,5) Schur complement, is a single leaf; with
+    # ``pivot`` the first column below the diagonal exceeds the diagonal
+    # entry, so LU pivots and leaves rounding noise above the diagonal
+    @pytest.mark.parametrize("dim,pivot", [
+        pytest.param(dim, pivot, id=f"{dim}-pivot" if pivot else str(dim))
+        for dim, pivot in [(51, False), (51, True), (_TRI_LEAF + 1, False),
+                           (3 * _TRI_LEAF + 7, False)]])
+    def test_triangular_inverse(self, dim, pivot):
+        assert dim % 2 == 1
         rng = np.random.default_rng(dim)
         lower = np.linalg.cholesky(np.array([random_pd(rng, dim) for _ in range(2)]))
-        inv = _tril_inverse(lower)
+        if pivot:
+            lower[:, 1:, 0] = 4.0 * lower[:, :1, 0]
+        inv = _tril_inverse(lower.copy())
         for p in range(2):
             assert np.abs(inv[p] @ lower[p] - np.eye(dim)).max() <= 1e-12
             assert not np.triu(inv[p], 1).any()
-            assert np.array_equal(inv[p], _tril_inverse(lower[p:p + 1])[0])
+            assert np.array_equal(inv[p], _tril_inverse(lower[p:p + 1].copy())[0])
 
 
 def _max_step(deltas, chols):
