@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .ncpoly import distinct_product_sum, monomial_basis
+from .ncpoly import distinct_product_sum, monomial_basis, word_count
 
 
 class CertificateError(ValueError):
@@ -163,11 +163,12 @@ def _gram_basis(n, d, gram_blocks):
     unless ``gram_blocks`` holds exactly n+1 blocks of the basis size."""
     if len(gram_blocks) != n + 1:
         raise ValueError(f"expected {n + 1} Gram blocks, got {len(gram_blocks)}")
-    basis = monomial_basis(n, d)
+    # the sizes are checked before the basis, which grows as n**d, is built
+    size = word_count(n, d)
     for i, block in enumerate(gram_blocks, start=1):
-        if block.dim != basis.size:
-            raise ValueError(f"Gram block {i} has dimension {block.dim}, expected {basis.size}")
-    return basis
+        if block.dim != size:
+            raise ValueError(f"Gram block {i} has dimension {block.dim}, expected {size}")
+    return monomial_basis(n, d)
 
 
 def expand_gram(n, d, gram_blocks):

@@ -147,12 +147,13 @@ def _table_row(m, n, sol1, sol2, args):
 def _table_group(ms, n, args):
     """Records of the rows (m, n) for m in ``ms``, which share n and the
     degree bound d = m // 2 and so every constraint: the first problem is
-    built once and retargeted to each row, and the lambda problems of all
-    rows are solved in one lockstep batch."""
+    built once, and the right-hand sides of the lambda problems of all
+    rows are solved against it in one lockstep batch."""
     try:
-        to_target = retargeting(_build_problem(ms[0], n, -1, args))
-        sols = iter(solve_many([to_target(m, sign) for m in ms for sign in (-1, +1)],
-                               SolverOptions(tolerance=args.tol)))
+        problem = _build_problem(ms[0], n, -1, args)
+        to_target = retargeting(problem)
+        rhs = [to_target(m, sign) for m in ms for sign in (-1, +1)]
+        sols = iter(solve_many(problem, rhs, SolverOptions(tolerance=args.tol)))
     except Exception as exc:  # noqa: BLE001 - reported in the group's rows
         return [_error_row(m, n, str(exc)) for m in ms]
     return [_table_row(m, n, next(sols), next(sols), args) for m in ms]

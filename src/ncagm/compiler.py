@@ -12,7 +12,6 @@ d = m // 2 and beta the monomial basis of degree <= d.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from itertools import combinations, permutations, product, zip_longest
 
@@ -211,11 +210,12 @@ def _orbit_labels(perms, size):
 def _check_invariance(rhs, r, coord, v, wperms, cperms, tperm, n):
     """Verify that row k of the constraint data maps onto row wperm[k]
     under each generator, given as a word permutation and a Gram-coordinate
-    permutation.  The entries are flat arrays of row r, folded coordinate
-    ``coord`` (the lambda entry at len(tperm), which every generator
-    fixes) and value v.  Keyed by (k, coordinate) and sorted, the two sides
-    must have exactly equal keys, values (all multiples of 1/2) and
-    right-hand sides; the error names the first word k that fails."""
+    permutation (reversal and the transpose ``tperm`` among them).  The
+    entries are flat arrays of row r, folded coordinate ``coord`` (the
+    lambda entry at len(tperm), which every generator fixes) and value v.
+    Keyed by (k, coordinate) and sorted, the two sides must have exactly
+    equal keys, values (all multiples of 1/2) and right-hand sides; the
+    error names the first word k that fails."""
     lam = len(tperm)
     fold = np.append(tperm, lam)
     for wperm, cperm in zip(wperms, cperms):
@@ -337,10 +337,16 @@ def symmetry_reduce(problem):
             raise ValueError("symmetry_reduce needs a problem from assemble_sdp")
     n, d = meta["n"], meta["d"]
     q = word_count(n, d)
+    if problem.block_dims != (1,) + (q,) * (n + 1):
+        raise ValueError(f"block dimensions {problem.block_dims} do not match meta n={n}, d={d}")
+    count = word_count(n, 2 * d + 1)
+    if problem.num_constraints != count:
+        raise ValueError(f"{problem.num_constraints} rows do not match meta n={n}, d={d}")
     sigmas = _generator_images(n)
     # generators then reversal, which is merged in because the folded rows
     # of a word and its reversal are the same linear functional on
-    # symmetric Gram blocks; the basis is the prefix of the words
+    # symmetric Gram blocks and checked as such; the basis is the prefix
+    # of the words
     wperms = _word_perms(n, 2 * d + 1, sigmas)
     # generators then transpose
     cperms = _coordinate_perms(n, q, sigmas, [perm[:q] for perm in wperms[:-1]])
@@ -349,10 +355,10 @@ def symmetry_reduce(problem):
     e = problem.entries[problem.entries.matrix > 0]
     row, blk, a, b, val = e.matrix - 1, e.block, e.i, e.j, e.value
     coord = np.where(blk == 0, size, ((blk - 1) * q + a) * q + b)
-    _check_invariance(problem.rhs, row, coord, val, wperms[:-1], cperms[:-1], cperms[-1], n)
+    _check_invariance(problem.rhs, row, coord, val, wperms, cperms, cperms[-1], n)
 
     coord_orbit, reps = _orbit_labels(cperms, size)
-    word_orbit, word_reps = _orbit_labels(wperms, word_count(n, 2 * d + 1))
+    word_orbit, word_reps = _orbit_labels(wperms, count)
 
     # weight[r, o]: total coefficient of word-orbit row r on coordinate
     # orbit o, both mirror entries counted, so that the row reads
@@ -416,18 +422,19 @@ def symmetry_reduce(problem):
 
 
 def retargeting(problem):
-    """A function (m, sign) -> the (m, n, sign) problem with the same n and
-    degree bound d as ``problem``, which comes from assemble_sdp or
-    symmetry_reduce.
+    """A function (m, sign) -> the right-hand side, as a list, of the
+    (m, n, sign) problem with the same n and degree bound d as ``problem``,
+    which comes from assemble_sdp or symmetry_reduce.
 
     The target polynomial enters only the right-hand side, so the
-    constraint rows, objective and block dimensions are shared with
-    ``problem``.  The right-hand side is computed over every word as in
-    assemble_sdp and checked for S_n invariance; a reduced problem keeps
-    the entry of each word-orbit representative, as symmetry_reduce does.
-    The word permutations under S_n and the word-orbit representatives
-    depend only on n and d, so they are computed once here for every
-    target."""
+    constraint rows, objective and block dimensions are those of
+    ``problem``, and ``solve_many(problem, rhs)`` solves the targets
+    together.  The right-hand side is computed over every word as in
+    assemble_sdp and checked for invariance under S_n and reversal; a
+    reduced problem keeps the entry of each word-orbit representative, as
+    symmetry_reduce does.  The word permutations and the word-orbit
+    representatives depend only on n and d, so they are computed once here
+    for every target."""
     meta = problem.meta
     if "d" not in meta:
         raise ValueError("retarget needs a problem from assemble_sdp or symmetry_reduce")
@@ -441,14 +448,8 @@ def retargeting(problem):
         if m // 2 != d:
             raise ValueError(f"m={m} needs degree bound {m // 2}, the problem has d={d}")
         rhs = _target_rhs(m, n, sign, count)
-        for wperm in wperms[:-1]:
+        for wperm in wperms:
             _check_generator(rhs, wperm, n)
-        if word_reps is not None:
-            rhs = [rhs[k] for k in word_reps]
-        # the constraint data was checked when ``problem`` was built, and
-        # the new right-hand side is finite and of the same length
-        out = copy(problem)
-        out.rhs, out.meta = rhs, {**meta, "m": m, "sign": sign}
-        return out
+        return rhs if word_reps is None else [rhs[k] for k in word_reps]
 
     return to_target

@@ -39,21 +39,20 @@ numpy call per iteration, whatever the block sizes; the reduced problems
 have many small blocks, where the fixed cost of a call outweighs its
 arithmetic.
 
-The same holds across problems.  ``solve_many`` takes problems that share
-one entry record, such as the retargeted copies of one problem, which
-differ only in the right-hand side, and runs them through the loop in
-lockstep.  Every iterate, direction and factor has one leading problem
-axis, (B, K, D, D), and every vector is (B, M); the objective C0 and the
-padding P are one (K, D, D) stack that broadcasts over that axis.  The
-constraint data and its row deduplication are built once for the batch.
-Each problem's arithmetic is the arithmetic of its lone solve, bit for
-bit: every batched call works on each problem by itself (LAPACK per
-matrix, one BLAS dot or matrix-vector product per problem), and each
-problem keeps its own stopping tests, best iterate, stall count, Schur
-shift and refinement steps.  A problem that stops, or whose factorization
-fails, leaves the batch.  ``solve`` is ``solve_many`` of one problem.
-Batches are split so that their Schur complements stay within
-_SCHUR_BYTES together.
+The same holds across right-hand sides.  ``solve_many(problem, rhs)``
+solves one problem against each row of ``rhs``, such as the targets of one
+(n, d) group that ``compiler.retargeting`` gives, in lockstep.  Every
+iterate, direction and factor has one leading right-hand-side axis,
+(B, K, D, D), and every vector is (B, M); the objective C0 and the padding
+P are one (K, D, D) stack that broadcasts over that axis.  The constraint
+data and its row deduplication are built once for the batch.  Each row's
+arithmetic is the arithmetic of its lone solve, bit for bit: every batched
+call works on each row by itself (LAPACK per matrix, one BLAS dot or
+matrix-vector product per row), and each row keeps its own stopping tests,
+best iterate, stall count, Schur shift and refinement steps.  A row that
+stops, or whose factorization fails, leaves the batch.  ``solve`` is
+``solve_many`` of the problem's own right-hand side.  Batches are split
+so that their Schur complements stay within _SCHUR_BYTES together.
 """
 
 from __future__ import annotations
@@ -263,7 +262,7 @@ def _dedup_rows(problem):
 
 
 def _contradictions(rhs, source):
-    """Per row of ``rhs`` (one problem each), whether a dropped row
+    """Per row of ``rhs`` (one right-hand side each), whether a dropped row
     contradicts it: an empty row with a nonzero rhs, or a repeated row whose
     rhs differs from that of the row it repeats."""
     return np.where(source < 0, rhs != 0, rhs != rhs[:, source]).any(axis=1)
@@ -680,47 +679,44 @@ _SCHUR_BYTES = 1 << 24
 def solve(problem, options=None):
     """Solve a standard-form block SDP; never raises on numerical trouble,
     reporting it in Solution.status instead."""
-    return solve_many([problem], options)[0]
+    return solve_many(problem, [problem.rhs], options)[0]
 
 
-def solve_many(problems, options=None):
-    """Solve problems that share one entry record, such as the retargeted
-    copies of one problem, which differ only in the right-hand side.  They
-    run through the interior-point loop in lockstep, each problem on its own
-    slice of every array, and each gets the Solution that ``solve`` gives it
-    alone, bit for bit.  A problem leaves the batch when it stops."""
+def solve_many(problem, rhs, options=None):
+    """Solve ``problem`` with each row of ``rhs``, a sequence of right-hand
+    sides, in place of problem.rhs.  The rows run through the interior-point
+    loop in lockstep, each on its own slice of every array, and each gets
+    the Solution of a lone ``solve`` with that right-hand side, bit for bit.
+    A row leaves the batch when it stops."""
     opts = options or SolverOptions()
     if opts.max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {opts.max_iterations}")
     # a nan or nonpositive tolerance never meets the stopping test
     if not 0 < opts.tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {opts.tolerance}")
-    problems = list(problems)
-    if not problems:
-        return []
-    first = problems[0]
-    if any(p.entries is not first.entries or p.block_dims != first.block_dims
-           or len(p.rhs) != len(first.rhs) for p in problems):
-        raise ValueError("solve_many needs problems that share one entry record")
+    if any(len(row) != problem.num_constraints for row in rhs):
+        raise ValueError(f"each right-hand side needs {problem.num_constraints} values")
+    rhs = np.array(rhs, dtype=float).reshape(len(rhs), problem.num_constraints)
+    if not np.isfinite(rhs).all():
+        raise SdpError("right-hand side values must be finite")
 
-    keep, source = _dedup_rows(first)
-    rhs = np.array([p.rhs for p in problems], dtype=float).reshape(len(problems), -1)
+    keep, source = _dedup_rows(problem)
     contradiction = _contradictions(rhs, source)
-    out = [Solution([np.zeros((d, d)) for d in first.block_dims],
-                    np.zeros(first.num_constraints), np.nan, np.nan, np.nan, "infeasible", 0)
+    out = [Solution([np.zeros((d, d)) for d in problem.block_dims],
+                    np.zeros(problem.num_constraints), np.nan, np.nan, np.nan, "infeasible", 0)
            if bad else None for bad in contradiction.tolist()]
     live = np.flatnonzero(~contradiction)
     if not len(live):
         return out
-    cons = _SvecConstraints(first, keep)
-    c0 = cons.stack(first.dense_matrix(0))
+    cons = _SvecConstraints(problem, keep)
+    c0 = cons.stack(problem.dense_matrix(0))
     norm_c = cons.max_row_norm()
     width = max(1, _SCHUR_BYTES // (8 * max(cons.m, 1) ** 2))
     for lo in range(0, len(live), width):
         chunk = live[lo:lo + width]
         runs = _lockstep(cons, c0, norm_c, rhs[chunk][:, keep], opts)
         for k, run in zip(chunk.tolist(), runs):
-            out[k] = run.solution(cons, keep, first.num_constraints, opts)
+            out[k] = run.solution(cons, keep, problem.num_constraints, opts)
     return out
 
 

@@ -454,6 +454,21 @@ class TestSosCertificates:
         with pytest.raises(ValueError, match="dimension 0"):
             verify_sos(sos_certificate_from_json(data))
 
+    def test_block_sizes_checked_before_the_basis(self, monkeypatch):
+        # a few hundred bytes of JSON whose basis of degree 15 over 30
+        # letters would hold more words than any memory
+        data = {"m": 30, "n": 30, "sign": 1, "lambda": "0/1", "blocks": [[]] * 31}
+        cert = sos_certificate_from_json(data)
+
+        def fail(n, d):
+            raise AssertionError("basis built before the block sizes were checked")
+
+        monkeypatch.setattr("ncagm.certify.monomial_basis", fail)
+        expected = sum(30 ** k for k in range(16))
+        message = rf"^Gram block 1 has dimension 0, expected {expected}$"
+        with pytest.raises(ValueError, match=message):
+            verify_sos(cert)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             build_m2_certificate(1)

@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ncagm.certify
 import ncagm.cli
 from ncagm import SdpProblem, assemble_sdp, import_sdpa, symmetry_reduce
+from ncagm.certify import CertificateError, InstanceReport
 from ncagm.cli import (
     EXIT_INVALID_CERTIFICATE,
     EXIT_NO_CERTIFICATE,
@@ -29,6 +31,7 @@ from ncagm.cli import (
     build_parser,
     main,
 )
+from ncagm.sdp import SdpError
 from ncagm.sdpa import render_sdpa
 
 
@@ -507,6 +510,54 @@ class TestCertifySosM2:
         report = json.loads(out.read_text())
         assert report["verified"] is True
         assert verify_sos(sos_certificate_from_json(report))
+
+
+class TestFailureExits:
+    """The documented failure exits, each forced by one patched check."""
+
+    def test_farkas_solver_failure_exits_3(self, capsys, monkeypatch):
+        def failing(problem, options=None):
+            raise SdpError("solver did not reach optimality: status=numerical_failure")
+
+        monkeypatch.setattr(ncagm.cli, "optimal_dual", failing)
+        code, stdout, err = run(["certify", "farkas", "--m", "2", "--n", "2",
+                                 "--lambda", "0.4"], capsys)
+        assert code == EXIT_SOLVER
+        assert stdout == ""
+        assert err == ("solver failure: solver did not reach optimality: "
+                       "status=numerical_failure\n")
+
+    def test_invalid_farkas_certificate_exits_4(self, capsys, monkeypatch):
+        def failing(problem, cert, tolerance):
+            raise CertificateError("PSD defect 1.0 exceeds tolerance")
+
+        monkeypatch.setattr(ncagm.certify, "farkas_check", failing)
+        code, stdout, err = run(["certify", "farkas", "--m", "2", "--n", "2",
+                                 "--lambda", "0.4"], capsys)
+        assert code == EXIT_INVALID_CERTIFICATE
+        assert stdout == ""
+        assert err == "invalid certificate: PSD defect 1.0 exceeds tolerance\n"
+
+    def test_failed_sos_verification_exits_4(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(ncagm.certify, "verify_sos", lambda cert: False)
+        out = tmp_path / "sos.json"
+        code, stdout, err = run(["certify", "sos-m2", "--n", "3", "--out", str(out)], capsys)
+        assert code == EXIT_INVALID_CERTIFICATE
+        assert stdout == ""
+        assert err == "certificate FAILED exact verification\n"
+        assert json.loads(out.read_text())["verified"] is False
+
+    def test_instance_violation_exits_5(self, capsys, monkeypatch, tmp_path):
+        report = InstanceReport(n=2, m=2, inputs_psd=True, sum_bounded=True, min_eig=0.0,
+                                max_eig=2.5, bound=2.0, violations=["distinct-product bound"])
+        monkeypatch.setattr(ncagm.certify, "eval_instance",
+                            lambda matrices, m, tolerance: report)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "matrices": [[1, 0, 0, 0], [0, 0, 0, 1]]}))
+        code, stdout, err = run(["certify", "check-instance", str(path)], capsys)
+        assert code == EXIT_VIOLATION
+        assert stdout == "min_eig = 0.000000  max_eig = 2.500000  bound = 2.0000\n"
+        assert err == "violated: distinct-product bound\n"
 
 
 class TestWriteJson:

@@ -7,7 +7,6 @@ import itertools
 import math
 import random
 import re
-from copy import copy
 
 import numpy as np
 import pytest
@@ -369,12 +368,6 @@ class TestEntryRecord:
         with pytest.raises(ValueError):
             entries[0] = (0, 0, 0, 0, 2.0)
 
-    def test_retargeted_problem_shares_record(self):
-        full = assemble_sdp(3, 4, 1)
-        reduced, _ = symmetry_reduce(full)
-        for problem in (full, reduced):
-            assert retargeting(problem)(2, -1).entries is problem.entries
-
     @pytest.mark.parametrize("constraints,objective,message", [
         ([{(0, 0, 0): 1.0}, {(2, 0, 0): 1.0}], {}, r"^block index 2 out of range$"),
         ([{}], {(-1, 0, 0): 1.0}, r"^block index -1 out of range$"),
@@ -667,9 +660,8 @@ class TestInterleavedBlocks:
         # a second problem with the same constraints and another feasible rhs
         rng = np.random.default_rng(6)
         x1 = [random_pd(rng, d) for d in self.DIMS]
-        sibling = copy(problem)
-        sibling.rhs = [sum(float((c * x).sum()) for c, x in zip(dense(problem, row), x1))
-                       for row in problem.constraints]
+        sibling = [sum(float((c * x).sum()) for c, x in zip(dense(problem, row), x1))
+                   for row in problem.constraints]
         cons = padded(problem.block_dims)
         off = cons.stack([np.ones((d, d)) for d in self.DIMS]) == 0
         seen = {"dots": 0, "steps": 0}
@@ -695,7 +687,7 @@ class TestInterleavedBlocks:
 
         monkeypatch.setattr(sdp, "_dots", checked_dots)
         monkeypatch.setattr(sdp, "_max_steps", checked_steps)
-        sols = solve_many([problem, sibling])
+        sols = solve_many(problem, [problem.rhs, sibling])
         assert [sol.status for sol in sols] == ["optimal", "optimal"]
         longest = max(sol.iterations for sol in sols)
         assert seen["steps"] == 2 * (longest - 1)
@@ -787,42 +779,47 @@ def assert_same_solution(got, ref):
 
 
 def table_groups(heavy_rows):
-    """The (n, d) groups of `table --heavy`: each group's targets, both
-    signs per row, retargeted from one reduced problem."""
+    """The (n, d) groups of `table --heavy`: each group's reduced problem,
+    its targets (m, n, sign), both signs per row, and their right-hand
+    sides, retargeted from that problem."""
     from itertools import groupby
 
     from ncagm.cli import DEFAULT_ROWS
     for (n, _), rows in groupby(DEFAULT_ROWS + heavy_rows, key=lambda row: (row[1], row[0] // 2)):
         ms = [m for m, _ in rows]
-        to_target = retargeting(symmetry_reduce(assemble_sdp(ms[0], n, -1))[0])
-        yield [to_target(m, sign) for m in ms for sign in (-1, 1)]
+        problem = symmetry_reduce(assemble_sdp(ms[0], n, -1))[0]
+        to_target = retargeting(problem)
+        targets = [(m, n, sign) for m in ms for sign in (-1, 1)]
+        yield problem, targets, [to_target(m, sign) for m, _, sign in targets]
 
 
-def with_duplicate_row(problem, rhs_list):
-    """Problems sharing one record: ``problem``'s data with its first row
-    repeated, one per right-hand side (the repeat's rhs appended)."""
+def with_rhs(problem, rhs):
+    """A problem of its own: ``problem``'s data with right-hand side
+    ``rhs``."""
+    e = problem.entries
+    return SdpProblem.from_entries(problem.block_dims, e.matrix, e.block, e.i, e.j, e.value,
+                                   rhs, dict(problem.meta))
+
+
+def with_duplicate_row(problem):
+    """``problem``'s data with its first row repeated, and the repeat's
+    rhs appended."""
     rows = problem.constraints
-    base = SdpProblem(problem.block_dims, rows + rows[:1], list(problem.rhs) + [problem.rhs[0]],
+    return SdpProblem(problem.block_dims, rows + rows[:1], list(problem.rhs) + [problem.rhs[0]],
                       problem.objective, dict(problem.meta))
-    out = []
-    for rhs in rhs_list:
-        p = copy(base)
-        p.rhs = rhs
-        out.append(p)
-    return out
 
 
 class TestBatchedSolve:
-    """solve_many runs problems that share one entry record in lockstep;
-    each must end exactly as it does alone."""
+    """solve_many runs one problem's right-hand sides in lockstep; each
+    must end exactly as a lone solve with that right-hand side."""
 
     def test_table_groups_match_lone_solves(self):
         from ncagm.cli import HEAVY_ROWS
         groups = list(table_groups(HEAVY_ROWS))
-        assert len(groups) == 10 and sum(map(len, groups)) == 28
-        for group in groups:
-            for got, problem in zip(solve_many(group), group):
-                assert_same_solution(got, solve(problem))
+        assert len(groups) == 10 and sum(len(rhs) for _, _, rhs in groups) == 28
+        for problem, _, rhs in groups:
+            for got, b in zip(solve_many(problem, rhs), rhs):
+                assert_same_solution(got, solve(with_rhs(problem, b)))
 
     def test_table_trace_pinned(self):
         # (m, n) -> iterations of the sign -1 and +1 solves of `table
@@ -837,9 +834,8 @@ class TestBatchedSolve:
             (5, 5): (14, 15)}
         shifted = {(4, 4, 1), (4, 5, 1), (5, 5, 1)}
         trace = {}
-        for group in table_groups(HEAVY_ROWS):
-            for problem, sol in zip(group, solve_many(group)):
-                m, n, sign = (problem.meta[key] for key in ("m", "n", "sign"))
+        for problem, targets, rhs in table_groups(HEAVY_ROWS):
+            for (m, n, sign), sol in zip(targets, solve_many(problem, rhs)):
                 trace[m, n, sign] = (sol.status, sol.iterations,
                                      tuple(name for name, _ in sol.fallbacks))
         assert trace == {
@@ -850,45 +846,49 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_unreduced_pairs_match_lone_solves(self, n):
-        to_target = retargeting(assemble_sdp(2, n, 1))
-        group = [to_target(m, sign) for m in range(2, n + 1) for sign in (-1, 1)]
-        for got, problem in zip(solve_many(group), group):
-            assert_same_solution(got, solve(problem))
+        full = assemble_sdp(2, n, 1)
+        to_target = retargeting(full)
+        rhs = [to_target(m, sign) for m in range(2, n + 1) for sign in (-1, 1)]
+        for got, b in zip(solve_many(full, rhs), rhs):
+            assert_same_solution(got, solve(with_rhs(full, b)))
 
     def test_mixed_batch_keeps_each_outcome(self):
         reduced, _ = symmetry_reduce(assemble_sdp(4, 4, -1))
         to_target = retargeting(reduced)
         lam1, lam2 = to_target(4, -1), to_target(4, 1)
-        # the repeated row contradicts its original in the third problem
-        contradictory = list(lam1.rhs) + [lam1.rhs[0] + 1.0]
-        batch = with_duplicate_row(reduced, [list(lam1.rhs) + [lam1.rhs[0]], contradictory,
-                                             list(lam2.rhs) + [lam2.rhs[0]]])
-        sols = solve_many(batch)
+        # the repeated row contradicts its original in the second
+        # right-hand side
+        base = with_duplicate_row(reduced)
+        batch = [lam1 + [lam1[0]], lam1 + [lam1[0] + 1.0], lam2 + [lam2[0]]]
+        sols = solve_many(base, batch)
         assert sols[1].status == "infeasible" and sols[1].iterations == 0
         assert [sol.status for sol in (sols[0], sols[2])] == ["optimal", "optimal"]
         assert sols[0].iterations != sols[2].iterations
         # the Schur shift fires in lambda_2's run only
         assert "schur_shift" not in dict(sols[0].fallbacks)
         assert "schur_shift" in dict(sols[2].fallbacks)
-        for got, problem in zip(sols, batch):
-            assert_same_solution(got, solve(problem))
+        for got, b in zip(sols, batch):
+            assert_same_solution(got, solve(with_rhs(base, b)))
         # the repeat changes nothing: the same run as without it, with a 0 dual
-        for got, problem in ((sols[0], lam1), (sols[2], lam2)):
-            alone = solve(problem)
+        for got, b in ((sols[0], lam1), (sols[2], lam2)):
+            alone = solve(with_rhs(reduced, b))
             assert got.dual[-1] == 0.0
             assert got.dual[:-1].tobytes() == alone.dual.tobytes()
             assert (got.objective_primal, got.iterations, got.fallbacks) == (
                 alone.objective_primal, alone.iterations, alone.fallbacks)
 
-    def test_problems_must_share_one_record(self):
-        a, b = assemble_sdp(2, 2, 1), assemble_sdp(2, 2, 1)
-        with pytest.raises(ValueError, match="share one entry record"):
-            solve_many([a, b])
-        shorter = copy(a)
-        shorter.rhs = a.rhs[:-1]
-        with pytest.raises(ValueError, match="share one entry record"):
-            solve_many([a, shorter])
-        assert solve_many([]) == []
+    def test_right_hand_sides_are_checked(self):
+        problem = assemble_sdp(2, 2, 1)
+        assert problem.num_constraints == 15
+        for row in (problem.rhs[:-1], problem.rhs + [0.0], []):
+            with pytest.raises(ValueError, match=r"^each right-hand side needs 15 values$"):
+                solve_many(problem, [problem.rhs, row])
+        for value in (math.nan, math.inf, -math.inf):
+            row = list(problem.rhs)
+            row[3] = value
+            with pytest.raises(SdpError, match=r"^right-hand side values must be finite$"):
+                solve_many(problem, [problem.rhs, row])
+        assert solve_many(problem, []) == []
 
     def test_verbose_output_of_a_lone_solve(self, capsys):
         problem = SdpProblem((1, 2), [{(0, 0, 0): 1.0, (1, 0, 1): 1.0}, {(1, 1, 1): 1.0}],
@@ -905,24 +905,22 @@ class TestBatchedSolve:
         assert lines[0] == ("  iter   0  pobj +8.82842712e+00  dobj +0.00000000e+00 "
                             "gap 5.95e+00  pres 1.29e+00  dres 2.71e+00")
         # a batch prints each problem's lines as it does alone
-        sibling = copy(problem)
-        sibling.rhs = [3.0, 1.0]
-        solve(sibling, SolverOptions(verbose=True))
+        sibling = [3.0, 1.0]
+        solve(with_rhs(problem, sibling), SolverOptions(verbose=True))
         alone = lines + capsys.readouterr().out.splitlines()
-        solve_many([problem, sibling], SolverOptions(verbose=True))
+        solve_many(problem, [problem.rhs, sibling], SolverOptions(verbose=True))
         assert sorted(capsys.readouterr().out.splitlines()) == sorted(alone)
 
 
 class TestFailureIsolation:
-    """A failure in one problem of a batch ends that problem only."""
+    """A failure in one right-hand side of a batch ends its run only."""
 
     @pytest.fixture
     def batch(self):
         reduced, _ = symmetry_reduce(assemble_sdp(2, 3, 1))
-        # the second problem's primal iterates are a million times larger
-        scaled = copy(reduced)
-        scaled.rhs = [1e6 * v for v in reduced.rhs]
-        return reduced, scaled
+        # the second right-hand side's primal iterates are a million times
+        # larger
+        return reduced, [1e6 * v for v in reduced.rhs]
 
     def patched_cholesky(self, monkeypatch, last_dim, limit):
         """np.linalg.cholesky, failing on any stack of last dimension
@@ -946,7 +944,7 @@ class TestFailureIsolation:
         reduced, scaled = batch
         alone = solve(reduced)
         self.patched_cholesky(monkeypatch, max(reduced.block_dims), 1e5)
-        got, failed = solve_many([reduced, scaled])
+        got, failed = solve_many(reduced, [reduced.rhs, scaled])
         assert_same_solution(got, alone)
         # the scaled problem's starting iterate is already too large
         assert failed.status == "numerical_failure"
@@ -960,7 +958,7 @@ class TestFailureIsolation:
         largest = self.patched_cholesky(monkeypatch, rows, np.inf)
         alone = solve(reduced)
         self.patched_cholesky(monkeypatch, rows, 10.0 * largest[0])
-        got, failed = solve_many([reduced, scaled])
+        got, failed = solve_many(reduced, [reduced.rhs, scaled])
         assert_same_solution(got, alone)
         # the Schur complements start equal, A A^T; the scaled problem's
         # grows with its primal iterate, and then fails at any shift
@@ -971,9 +969,8 @@ class TestFailureIsolation:
     def test_non_finite_objective(self, batch):
         reduced, _ = batch
         alone = solve(reduced)
-        huge = copy(reduced)
-        huge.rhs = [1e300 * v for v in reduced.rhs]
-        failed, got = solve_many([huge, reduced])
+        huge = [1e300 * v for v in reduced.rhs]
+        failed, got = solve_many(reduced, [huge, reduced.rhs])
         assert_same_solution(got, alone)
         # <Y, Z> overflows at the starting iterate
         assert failed.status == "numerical_failure"

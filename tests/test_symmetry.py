@@ -13,8 +13,11 @@ from ncagm import (
     assemble_sdp,
     extract_farkas,
     farkas_check,
+    import_sdpa,
     monomial_basis,
+    retargeting,
     solve,
+    solve_many,
     symmetry_reduce,
 )
 from ncagm import compiler
@@ -169,6 +172,59 @@ class TestReducedProblem:
         tampered = type(prob)(prob.block_dims, constraints, rhs, prob.objective, prob.meta)
         with pytest.raises(InvarianceError, match=r"at word \(1,\)$"):
             symmetry_reduce(tampered)
+
+    @pytest.mark.parametrize("tamper,what", [("rhs", "right-hand side"),
+                                             ("rows", "constraint data")])
+    def test_reversal_invariance_checked(self, tamper, what):
+        # the S_2 orbit {(1, 1, 2), (2, 2, 1)} changed without its reversals
+        # (2, 1, 1) and (1, 2, 2) stays S_n invariant; the reduction keeps
+        # one row per orbit of words and their reversals, so it would solve
+        # the changed rows in place of their reversals
+        prob = assemble_sdp(2, 2, 1)
+        constraints = [dict(row) for row in prob.constraints]
+        rhs = list(prob.rhs)
+        for word in ((1, 1, 2), (2, 2, 1)):
+            k = words_up_to(2, 3).index(word)
+            if tamper == "rhs":
+                rhs[k] = 1.0
+            else:
+                constraints[k] = {key: 2.0 * v for key, v in constraints[k].items()}
+        tampered = type(prob)(prob.block_dims, constraints, rhs, prob.objective, prob.meta)
+        if tamper == "rhs":
+            # a row and its reversal's are one functional with two values
+            assert solve(tampered).status == "infeasible"
+        for problem in (tampered, import_sdpa(render_sdpa(tampered))):
+            with pytest.raises(InvarianceError,
+                               match=rf"^{what} not invariant at word \(1, 1, 2\)$"):
+                symmetry_reduce(problem)
+
+    @pytest.mark.parametrize("m,n,key,value,target", [
+        (2, 2, "n", 3, 2), (2, 3, "n", 2, 2), (2, 2, "d", 0, 1), (3, 3, "d", 2, None)])
+    def test_meta_must_match_shape(self, m, n, key, value, target):
+        # an SDPA file whose *META disagrees with its data
+        text = render_sdpa(assemble_sdp(m, n, 1))
+        head, body = text.split("\n", 1)
+        head = head.replace(f" {key}={m // 2 if key == 'd' else n} ", f" {key}={value} ")
+        problem = import_sdpa(head + "\n" + body)
+        assert problem.meta[key] == value
+        message = r"^block dimensions \(.*\) do not match meta n=\d, d=\d$"
+        with pytest.raises(ValueError, match=message):
+            symmetry_reduce(problem)
+        # retargeting reads n and d from meta too; a right-hand side of
+        # their length does not fit the problem
+        if target is not None:
+            rhs = retargeting(problem)(target, 1)
+            assert len(rhs) != problem.num_constraints
+            with pytest.raises(ValueError, match=r"^each right-hand side needs \d+ values$"):
+                solve_many(problem, [rhs])
+
+    def test_row_count_must_match_meta(self):
+        # the right block sizes with the last word's row missing
+        prob = assemble_sdp(2, 2, 1)
+        short = type(prob)(prob.block_dims, prob.constraints[:-1], prob.rhs[:-1],
+                           prob.objective, prob.meta)
+        with pytest.raises(ValueError, match=r"^14 rows do not match meta n=2, d=1$"):
+            symmetry_reduce(short)
 
     def test_plain_problem_rejected(self):
         from ncagm import SdpProblem

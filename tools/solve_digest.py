@@ -11,9 +11,10 @@ with the default solver options:
 
 - a lone solve of the symmetry-reduced problem of every m <= n <= 5, both
   signs, and of the unreduced problem of every m <= n <= 4, both signs;
-- the ten (n, d) groups of ``ncagm table --heavy``, each built once,
-  retargeted and solved with one ``solve_many``, and the exit code and
-  stdout of ``ncagm table --heavy`` in the text, csv and json formats;
+- the ten (n, d) groups of ``ncagm table --heavy``, each built once and
+  solved with one ``solve_many`` of the right-hand sides that
+  ``retargeting`` gives for its rows, and the exit code and stdout of
+  ``ncagm table --heavy`` in the text, csv and json formats;
 - the margin and PSD defect of the lifted (5,5,+1) dual at lambda = 120;
 - ``extract_farkas`` on the unreduced (2,2,+1) problem at lambda = 0.4;
 - the bytes of ``dense_matrix(k)`` for every k of the full and the
@@ -120,8 +121,9 @@ def main():
     rows = DEFAULT_ROWS + HEAVY_ROWS
     for (n, _), group in groupby(rows, key=lambda row: (row[1], row[0] // 2)):
         ms = [m for m, _ in group]
-        to_target = retargeting(symmetry_reduce(assemble_sdp(ms[0], n, -1))[0])
-        for sol in solve_many([to_target(m, sign) for m in ms for sign in (-1, +1)]):
+        problem = symmetry_reduce(assemble_sdp(ms[0], n, -1))[0]
+        to_target = retargeting(problem)
+        for sol in solve_many(problem, [to_target(m, sign) for m in ms for sign in (-1, +1)]):
             add_solution(digest, sol)
     for output_format in ("text", "csv", "json"):
         add_run(digest, ["table", "--heavy", "--format", output_format])
